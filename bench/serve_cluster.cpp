@@ -10,7 +10,7 @@
 /// two-device fleet (the NVIDIA K20m-like and AMD R9 295X2-like
 /// models) under the pluggable placement policies, with every device
 /// running its own arrival-aware continuous scheduler on the merged
-/// event clock (harness::runCluster). The comparison is the Gavel
+/// event clock (harness::runClusterReplay). The comparison is the Gavel
 /// observation in miniature: round-robin hands the slow device an
 /// equal share of the traffic and it backs up, so cluster-wide tail
 /// queueing and windowed unfairness blow up; heterogeneity-aware
@@ -47,6 +47,7 @@
 using namespace accel;
 using namespace accel::bench;
 using namespace accel::cluster;
+using harness::ClusterWorkload;
 
 namespace {
 
@@ -96,7 +97,8 @@ PolicyResult runPolicy(Fleet &F, PlacementKind Kind,
     Run.StickyTenantAffinity = true;
     R.Name += "+sticky";
   }
-  R.Outcome = harness::runCluster(F, *P, Trace, Run);
+  R.Outcome = harness::runClusterReplay(
+      F, *P, ClusterWorkload::openLoop(Trace), Run);
   fillDerived(R, WindowLength);
   return R;
 }
@@ -112,7 +114,7 @@ PolicyResult runClosedPolicy(Fleet &F, PlacementKind Kind,
   std::unique_ptr<PlacementPolicy> P = makePlacementPolicy(Kind);
   R.Name = P->name();
   R.Outcome = harness::runClusterReplay(
-      F, *P, harness::ClusterWorkload::closedLoop(Script), Opts);
+      F, *P, ClusterWorkload::closedLoop(Script), Opts);
   fillDerived(R, WindowLength);
   return R;
 }

@@ -5,13 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The admission-pass machinery shared by the serving-harness replays
-/// (harness::runStream / runClosedLoop / runCluster) and the functional
-/// Runtime's continuous pump: quantum-bounded slice sizing and the
-/// grant -> slice-launch -> shrink -> admitFrom pass over a scheduler
-/// and a persistent engine session. Extracted from harness/ReplayDetail
-/// when the Runtime moved onto the continuous stack, so the API layer
-/// and the replay harness admit work through literally the same code.
+/// The admission-pass machinery shared by the serving-harness replay
+/// (the cluster replay core behind harness::runStream, runClosedLoop
+/// and runClusterReplay) and the functional Runtime's continuous pump:
+/// quantum-bounded slice sizing and the grant -> slice-launch -> shrink
+/// -> admitFrom pass over a scheduler and a persistent engine session.
+/// Extracted from harness/ReplayDetail when the Runtime moved onto the
+/// continuous stack, so the API layer and the replay harness admit work
+/// through literally the same code.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,7 +52,8 @@ size_t quantumSliceEnd(const std::vector<double> &WGCosts, size_t Cursor,
 /// unused reservation via shrink(). \returns true when the pass itself
 /// freed capacity and must re-run at this same instant; each re-pass
 /// needs a fresh shrink, so the caller's loop terminates.
-template <typename SchedulerT, typename MakeSliceFn, typename RetireZeroFn>
+template <AdmissionScheduler SchedulerT, typename MakeSliceFn,
+          typename RetireZeroFn>
 inline bool runAdmissionPass(SchedulerT &Sched, sim::EngineSession &Session,
                              std::vector<sim::KernelLaunchDesc> &LaunchBuf,
                              MakeSliceFn &&MakeSlice,

@@ -372,9 +372,8 @@ Runtime::GrantOutcome Runtime::buildGrantLocked(uint64_t Id, uint64_t WGs,
   return O;
 }
 
-template <typename SchedulerT>
-void Runtime::resubmitLocked(SchedulerT &Sched, uint64_t Id) {
-  RequestState &R = Requests.at(Id);
+RoundRequest Runtime::queuedRequestLocked(uint64_t Id) const {
+  const RequestState &R = Requests.at(Id);
   RoundRequest RR;
   RR.Id = Id;
   RR.Tenant = R.AppId;
@@ -387,10 +386,10 @@ void Runtime::resubmitLocked(SchedulerT &Sched, uint64_t Id) {
     auto WIt = Weights.find(R.AppId);
     RR.Demand.Weight = WIt == Weights.end() ? 1.0 : WIt->second;
   }
-  Sched.submit(RR);
+  return RR;
 }
 
-template <typename SchedulerT>
+template <AdmissionScheduler SchedulerT>
 bool Runtime::admissionPassLocked(SchedulerT &Sched, double T) {
   bool Freed = false;
   bool Repass = runAdmissionPass(
@@ -433,7 +432,7 @@ bool Runtime::recordCompletionLocked(const sim::KernelExecResult &K) {
   return R.Cursor < R.WGCosts.size();
 }
 
-template <typename SchedulerT>
+template <AdmissionScheduler SchedulerT>
 bool Runtime::contStepLocked(SchedulerT &Sched) {
   double T = Session.now();
   // Arrival events due now join the queue before admission runs, so
@@ -441,7 +440,7 @@ bool Runtime::contStepLocked(SchedulerT &Sched) {
   while (!Arrivals.empty() && Arrivals.top().first <= T) {
     uint64_t Id = Arrivals.top().second;
     Arrivals.pop();
-    resubmitLocked(Sched, Id);
+    Sched.submit(queuedRequestLocked(Id));
     NeedAdmit = true;
   }
   while (NeedAdmit)
@@ -453,7 +452,7 @@ bool Runtime::contStepLocked(SchedulerT &Sched) {
     Sched.complete(Id);
     NeedAdmit = true;
     if (recordCompletionLocked(K))
-      resubmitLocked(Sched, Id); // remaining slices re-enter the queue
+      Sched.submit(queuedRequestLocked(Id)); // remaining slices requeue
     else
       finalizeLocked(Id);
   }
@@ -465,7 +464,7 @@ bool Runtime::roundStepLocked() {
   while (!Arrivals.empty() && Arrivals.top().first <= T) {
     uint64_t Id = Arrivals.top().second;
     Arrivals.pop();
-    resubmitLocked(RoundSched, Id);
+    RoundSched.submit(queuedRequestLocked(Id));
   }
   if (Session.inFlight() == 0 && RoundSched.pending() != 0) {
     // Completion barrier: plan the next round. Rounds are planned

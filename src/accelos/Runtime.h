@@ -371,11 +371,13 @@ private:
   /// One pump step; \returns false when the runtime is idle.
   bool stepLocked();
   bool roundStepLocked();
-  template <typename SchedulerT> bool contStepLocked(SchedulerT &Sched);
-  template <typename SchedulerT>
+  template <AdmissionScheduler SchedulerT>
+  bool contStepLocked(SchedulerT &Sched);
+  template <AdmissionScheduler SchedulerT>
   bool admissionPassLocked(SchedulerT &Sched, double T);
-  template <typename SchedulerT>
-  void resubmitLocked(SchedulerT &Sched, uint64_t Id);
+  /// The queue entry for request \p Id's remaining range: an arrival,
+  /// or a sliced remainder re-entering the scheduler.
+  RoundRequest queuedRequestLocked(uint64_t Id) const;
 
   /// Processes one grant: on the first grant runs the kernel
   /// functionally through the Virtual NDRange machinery, then builds

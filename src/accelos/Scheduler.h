@@ -38,6 +38,7 @@
 
 #include "accelos/ResourceSolver.h"
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -228,8 +229,6 @@ public:
   size_t pending() const { return Queue.size(); }
   size_t inFlight() const { return Flights.size(); }
   const SchedulerStats &stats() const { return Stats; }
-  /// stats() under the name the serving harness reports it as.
-  const SchedulerStats &schedulerStats() const { return Stats; }
 
   /// Drops every pending request (error recovery); in-flight
   /// executions are unaffected.
@@ -302,11 +301,11 @@ private:
 /// over *time* — a weight-2 tenant is picked twice as often — rather
 /// than through per-event share re-solving.
 ///
-/// Interface-compatible with ContinuousScheduler (submit / admit /
-/// shrink / complete / stats), so the serving loop and benches drive
-/// either through the same template code. Fairness is approximate:
-/// serve_scale gates its peak windowed unfairness within 2x of the
-/// exact solver's while admission passes stay O(grants * log tenants).
+/// Models AdmissionScheduler like ContinuousScheduler, so the serving
+/// loops drive either through the same template code. Fairness is
+/// approximate: serve_scale gates its peak windowed unfairness within 2x
+/// of the exact solver's while admission passes stay O(grants * log
+/// tenants).
 ///
 /// Anti-starvation mirrors ContinuousScheduler: a tenant head bypassed
 /// MaxDeferrals times blocks younger grants for the rest of the pass; a
@@ -344,7 +343,6 @@ public:
   size_t pending() const { return Pending; }
   size_t inFlight() const { return Flights.size(); }
   const SchedulerStats &stats() const { return Stats; }
-  const SchedulerStats &schedulerStats() const { return Stats; }
 
   /// Drops every pending request (error recovery); in-flight
   /// executions keep their grants, tenants keep their pass values.
@@ -381,6 +379,26 @@ private:
   std::vector<RoundGrant> Grants;  ///< Reused across passes.
   std::vector<int> Skipped;        ///< Pass-local scratch.
 };
+
+/// What the continuous serving loops — the cluster replay core behind
+/// harness::runStream / runClosedLoop / runClusterReplay, and the
+/// Runtime's pump — need of an event-driven admission scheduler: queue
+/// a request, plan the grants of one admission event, narrow or release
+/// an in-flight reservation, drop the queue when its device dies, and
+/// report the decision counters.
+template <typename S>
+concept AdmissionScheduler =
+    requires(S &Sched, const S &Const, const RoundRequest &R, uint64_t Id) {
+      Sched.submit(R);
+      Sched.complete(Id);
+      Sched.shrink(Id, Id);
+      { Sched.admit() } -> std::same_as<const std::vector<RoundGrant> &>;
+      Sched.clear();
+      { Const.stats() } -> std::same_as<const SchedulerStats &>;
+    };
+
+static_assert(AdmissionScheduler<ContinuousScheduler>);
+static_assert(AdmissionScheduler<StrideScheduler>);
 
 /// Tuning of the SLO weight controller. Like AdaptivePolicy.h's batch
 /// thresholds these are policy constants, not per-request knobs; the

@@ -14,6 +14,7 @@
 #include <cassert>
 #include <map>
 #include <optional>
+#include <type_traits>
 
 using namespace accel;
 using namespace accel::harness;
@@ -26,41 +27,81 @@ namespace {
 /// Sentinel for "request not attached to any fault".
 constexpr size_t NoFault = static_cast<size_t>(-1);
 
-/// One fleet member's live serving state. Outstanding work lives in
-/// the policy's load view (PlacementPolicy::loads()) — the lifecycle
-/// notifications keep it current, and the replay reads it back for
-/// migration decisions instead of keeping a second tally.
-struct DeviceState {
-  std::optional<sim::EngineSession> Session;
-  std::optional<accelos::ContinuousScheduler> Sched;
-  /// An admission pass is pending (an arrival or completion changed
-  /// this device's queue or residual capacity). Starts true, exactly
-  /// like the single-device loop's initial pass.
-  bool NeedAdmit = true;
-  /// In the serving set: placements, admission, and migration targets
-  /// all require Alive. Mirrors the policy view's DeviceLoad::Alive.
-  bool Alive = true;
-  double BusyTime = 0;
-  size_t PlacedRequests = 0;
-};
+/// The capacity a device's scheduler shares out: the device caps, with
+/// the thread dimension optionally clamped to a bounded
+/// oversubscription of the issue lanes (StreamOptions::
+/// IssueCapacityFactor) so admission controls the contended resource.
+accelos::ResourceCaps capsFor(const sim::DeviceSpec &Spec,
+                              const StreamOptions &Opts) {
+  accelos::ResourceCaps Caps = accelos::ResourceCaps::fromDevice(Spec);
+  if (Opts.IssueCapacityFactor > 0)
+    Caps.Threads = std::min(
+        Caps.Threads,
+        static_cast<uint64_t>(Opts.IssueCapacityFactor *
+                              static_cast<double>(Spec.NumCUs) *
+                              static_cast<double>(Spec.LanesPerCU)));
+  return Caps;
+}
 
-/// The merged-clock replay over N per-device continuous schedulers:
-/// the single-device continuous loop of runStream, generalized. Each
-/// iteration (1) applies scripted fleet-capacity events due at the
-/// current merged time, (2) places and submits every arrival due, (3)
-/// runs the pending admission passes device by device, (4) advances
-/// every session to the earliest next event anywhere in the fleet,
-/// reacting to completions (and, at those quantum-slice boundaries,
-/// deciding migrations). With N == 1 and an empty fleet plan the event
-/// order is exactly runStream's, so the output is bit-identical
-/// (regression-tested).
-class ClusterReplay {
+/// The solver options the continuous scheduler runs under:
+/// StreamOptions::StrictShares turns greedy saturation off so admission
+/// targets are pure weighted entitlements, and FullSolveReference pins
+/// the solver to its reference (pre-fast-path) saturation loop.
+accelos::SolverOptions solverOptsFor(const StreamOptions &Opts) {
+  accelos::SolverOptions SOpts;
+  SOpts.GreedySaturation = !Opts.StrictShares;
+  SOpts.FastSaturation = !Opts.FullSolveReference;
+  return SOpts;
+}
+
+/// The scheduler options the continuous scheduler runs under:
+/// FullSolveReference disables the incremental fast paths (every
+/// admission pass runs a full share solve — the measurement baseline),
+/// and SelfCheckIncremental cross-checks every fast pass against a
+/// fresh full solve in debug builds.
+accelos::SchedulerOptions schedOptsFor(const StreamOptions &Opts) {
+  accelos::SchedulerOptions SO;
+  SO.Incremental = !Opts.FullSolveReference;
+  SO.SelfCheck = Opts.SelfCheckIncremental;
+  return SO;
+}
+
+/// The merged-clock replay over N per-device admission schedulers —
+/// the library's one accelOS continuous event loop. Each iteration (1)
+/// applies scripted fleet-capacity events due at the current merged
+/// time, (2) places and submits every arrival due, (3) runs the pending
+/// admission passes device by device, (4) advances every session to
+/// the earliest next event anywhere in the fleet, reacting to
+/// completions (and, at those quantum-slice boundaries, deciding
+/// migrations). With N == 1 and an empty fleet plan it is the
+/// single-device continuous replay of runStream / runClosedLoop.
+template <accelos::AdmissionScheduler SchedulerT> class ClusterReplay {
+  /// One fleet member's live serving state. Outstanding work lives in
+  /// the policy's load view (PlacementPolicy::loads()) — the lifecycle
+  /// notifications keep it current, and the replay reads it back for
+  /// migration decisions instead of keeping a second tally.
+  struct DeviceState {
+    std::optional<sim::EngineSession> Session;
+    std::optional<SchedulerT> Sched;
+    /// An admission pass is pending (an arrival or completion changed
+    /// this device's queue or residual capacity). Starts true: the
+    /// first iteration always runs a pass.
+    bool NeedAdmit = true;
+    /// In the serving set: placements, admission, and migration
+    /// targets all require Alive. Mirrors the policy view's
+    /// DeviceLoad::Alive.
+    bool Alive = true;
+    double BusyTime = 0;
+    size_t PlacedRequests = 0;
+  };
+
 public:
-  ClusterReplay(cluster::Fleet &Fleet, cluster::PlacementPolicy &Policy,
-                const ClusterOptions &Opts, ClusterOutcome &Out)
-      : RS(Fleet.driver(0), Opts.Stream, Opts.Mode, Out.Stream),
-        Fleet(Fleet), Policy(Policy), Opts(Opts), Out(Out) {
-    assert(!Fleet.empty() && "cluster replay over an empty fleet");
+  ClusterReplay(std::span<const ReplayDevice> Members,
+                cluster::PlacementPolicy &Policy, const ClusterOptions &Opts,
+                ClusterOutcome &Out)
+      : RS(*Members[0].Driver, Opts.Stream, Opts.Mode, Out.Stream),
+        Members(Members), Policy(Policy), Opts(Opts), Out(Out) {
+    assert(!Members.empty() && "cluster replay over an empty fleet");
     Plan = Opts.FleetPlan;
     std::stable_sort(Plan.begin(), Plan.end(),
                      [](const FleetEvent &A, const FleetEvent &B) {
@@ -68,10 +109,10 @@ public:
                      });
     // A device whose first scripted event is Up joins the fleet later
     // (elastic scale-up): it starts outside the serving set.
-    std::vector<bool> Alive(Fleet.size(), true);
-    std::vector<bool> Seen(Fleet.size(), false);
+    std::vector<bool> Alive(Members.size(), true);
+    std::vector<bool> Seen(Members.size(), false);
     for (const FleetEvent &E : Plan) {
-      assert(E.Device < Fleet.size() &&
+      assert(E.Device < Members.size() &&
              "fleet plan names an unknown device");
       if (!Seen[E.Device]) {
         Seen[E.Device] = true;
@@ -79,16 +120,19 @@ public:
           Alive[E.Device] = false;
       }
     }
-    Devices.resize(Fleet.size());
-    std::vector<double> Rates(Fleet.size());
-    for (size_t D = 0; D != Fleet.size(); ++D) {
+    Devices.resize(Members.size());
+    std::vector<double> Rates(Members.size());
+    for (size_t D = 0; D != Members.size(); ++D) {
+      const sim::DeviceSpec &Spec = driver(D).device();
       Devices[D].Alive = Alive[D];
-      Devices[D].Session.emplace(Fleet.device(D));
-      Devices[D].Sched.emplace(
-          detail::capsFor(Fleet.device(D), Opts.Stream),
-          detail::solverOptsFor(Opts.Stream),
-          detail::schedOptsFor(Opts.Stream));
-      Rates[D] = Fleet.serviceRate(D);
+      Devices[D].Session.emplace(Spec);
+      if constexpr (std::is_same_v<SchedulerT, accelos::StrideScheduler>)
+        Devices[D].Sched.emplace(capsFor(Spec, Opts.Stream));
+      else
+        Devices[D].Sched.emplace(capsFor(Spec, Opts.Stream),
+                                 solverOptsFor(Opts.Stream),
+                                 schedOptsFor(Opts.Stream));
+      Rates[D] = Members[D].ServiceRate;
     }
     Policy.attach(std::move(Rates), Alive);
     if (Opts.Stream.AdaptiveSloWeights) {
@@ -142,14 +186,14 @@ public:
   void arriveOpen(const workloads::TimedRequest &R, double T) {
     if (anyAlive()) {
       size_t D = decide(R.Tenant, R.KernelIdx, R.ArrivalTime);
-      size_t Idx = RS.append(R, Fleet.driver(D));
+      size_t Idx = RS.append(R, driver(D));
       registerRequest(Idx);
       commit(Idx, D);
       return;
     }
     // Materialized against device 0's view only so the request has a
     // shape; rehome() rebinds it before it ever executes.
-    size_t Idx = RS.append(R, Fleet.driver(0));
+    size_t Idx = RS.append(R, driver(0));
     registerRequest(Idx);
     if (pendingUp())
       Parked.push_back(Idx);
@@ -162,12 +206,12 @@ public:
     detail::IssuedRequest R = L.pop();
     if (anyAlive()) {
       size_t D = decide(L.tenantOf(R), R.KernelIdx, R.Time);
-      size_t Idx = L.materializeOn(RS, R, Fleet.driver(D));
+      size_t Idx = L.materializeOn(RS, R, driver(D));
       registerRequest(Idx);
       commit(Idx, D);
       return;
     }
-    size_t Idx = L.materializeOn(RS, R, Fleet.driver(0));
+    size_t Idx = L.materializeOn(RS, R, driver(0));
     registerRequest(Idx);
     if (pendingUp())
       Parked.push_back(Idx);
@@ -176,9 +220,7 @@ public:
   }
 
   /// Runs the pending admission passes of every in-service device, in
-  /// fleet order — the exact single-device pass
-  /// (detail::admissionPass), so the N == 1 degeneration stays
-  /// bit-identical by construction.
+  /// fleet order.
   void admitAll(double T) {
     for (size_t D = 0; D != Devices.size(); ++D) {
       DeviceState &DS = Devices[D];
@@ -214,8 +256,8 @@ public:
       DeviceState &DS = Devices[D];
       if (DS.Session->inFlight() > 0)
         DS.BusyTime += NewNow - T;
-      for (const sim::KernelExecResult &K :
-           DS.Session->advanceTo(NewNow)) {
+      DS.Session->advanceTo(NewNow, RS.CompletionBuf);
+      for (const sim::KernelExecResult &K : RS.CompletionBuf) {
         size_t Idx = static_cast<size_t>(K.AppId);
         LiveRequest &LR = RS.Live[Idx];
         if (!LR.Started) {
@@ -225,6 +267,7 @@ public:
         LR.End = K.EndTime;
         DS.Sched->complete(Idx);
         DS.NeedAdmit = true;
+        ++Out.Stream.EngineCompletions;
         // Settle the drained work into the policy's load view and the
         // conservation ledger.
         double Remaining = RS.remainingCost(Idx);
@@ -257,20 +300,25 @@ public:
     Out.Devices.resize(Devices.size());
     for (size_t D = 0; D != Devices.size(); ++D) {
       ClusterDeviceOutcome &DO = Out.Devices[D];
-      DO.Name = Fleet.device(D).Name;
+      const accelos::SchedulerStats &St = Devices[D].Sched->stats();
+      DO.Name = driver(D).device().Name;
       DO.Requests = Devices[D].PlacedRequests;
       DO.BusyTime = Devices[D].BusyTime;
       DO.Utilization = Out.Stream.Makespan > 0
                            ? Devices[D].BusyTime / Out.Stream.Makespan
                            : 0;
-      DO.Rounds = Devices[D].Sched->stats().RoundsPlanned;
-      DO.Deferrals = Devices[D].Sched->stats().Deferrals;
+      DO.Rounds = St.RoundsPlanned;
+      DO.Deferrals = St.Deferrals;
       Out.Stream.Rounds += DO.Rounds;
       Out.Stream.Deferrals += DO.Deferrals;
+      Out.Stream.FullSolves += St.FullSolves;
+      Out.Stream.FastPasses += St.FastPasses;
     }
   }
 
 private:
+  ExperimentDriver &driver(size_t D) const { return *Members[D].Driver; }
+
   void submit(size_t Idx, size_t D) {
     detail::submitRequest(*Devices[D].Sched, RS, Idx);
   }
@@ -279,10 +327,10 @@ private:
   /// request \p Idx and counts its work into the conservation ledger.
   void registerRequest(size_t Idx) {
     assert(Idx == DeviceOf.size() && "requests register in trace order");
-    Out.Placement.push_back(Fleet.size());
+    Out.Placement.push_back(Members.size());
     Out.Retries.push_back(0);
-    DeviceOf.push_back(Fleet.size());
-    PrevDeviceOf.push_back(Fleet.size());
+    DeviceOf.push_back(Members.size());
+    PrevDeviceOf.push_back(Members.size());
     Accounted.push_back(0);
     FinishedFlag.push_back(false);
     CountedWGs.push_back(0);
@@ -332,7 +380,7 @@ private:
   /// onto \p To's compiled view and re-enters that device's admission.
   void rebind(size_t Idx, size_t From, size_t To, double T,
               bool Failover) {
-    RS.rehome(Idx, Fleet.driver(To));
+    RS.rehome(Idx, driver(To));
     DeviceOf[Idx] = To;
     Out.Placement[Idx] = To;
     double Cost = RS.remainingCost(Idx);
@@ -384,7 +432,7 @@ private:
       Policy.withdrawFrom(D, Accounted[Idx]);
       Accounted[Idx] = 0;
       PrevDeviceOf[Idx] = D;
-      DeviceOf[Idx] = Fleet.size();
+      DeviceOf[Idx] = Members.size();
       ++Out.Faults[FaultIdx].Displaced;
       attachFault(Idx, FaultIdx, T);
       if (++Out.Retries[Idx] > Opts.MaxRetries) {
@@ -418,10 +466,10 @@ private:
     for (size_t Idx : Waiting) {
       const workloads::TimedRequest &R = RS.Trace[Idx];
       size_t To = decide(R.Tenant, R.KernelIdx, T);
-      if (Out.Placement[Idx] == Fleet.size()) {
+      if (Out.Placement[Idx] == Members.size()) {
         // Arrived during a full outage and was never placed: this is
         // its first placement, not a migration.
-        RS.rehome(Idx, Fleet.driver(To));
+        RS.rehome(Idx, driver(To));
         commit(Idx, To);
       } else {
         rebind(Idx, PrevDeviceOf[Idx], To, T, /*Failover=*/true);
@@ -500,12 +548,11 @@ private:
   double soloEstimate(size_t D, size_t KernelIdx) {
     switch (Opts.SoloEstimate) {
     case SoloEstimateKind::Oracle:
-      return Fleet.driver(D).isolatedDuration(SchedulerKind::Baseline,
-                                              KernelIdx);
+      return driver(D).isolatedDuration(SchedulerKind::Baseline, KernelIdx);
     case SoloEstimateKind::Blind:
-      return Fleet.meanSoloDuration(D);
+      return Members[D].MeanSoloDuration;
     case SoloEstimateKind::StaticPrior: {
-      double Prior = Fleet.driver(D).priorSoloDuration(KernelIdx);
+      double Prior = driver(D).priorSoloDuration(KernelIdx);
       auto It = Observed.find({D, KernelIdx});
       if (It == Observed.end())
         return Prior;
@@ -554,10 +601,8 @@ private:
       Loop->issue(Loop->tenantPos(Idx), At);
   }
 
-  /// Retires a zero-work request at the admission boundary. Matching
-  /// the single-device loops, the SLO controller does NOT observe it
-  /// (it never occupied the device), so the N == 1 adaptive replay
-  /// stays equivalent to runClosedLoop in this corner too; the
+  /// Retires a zero-work request at the admission boundary. The SLO
+  /// controller does NOT observe it (it never occupied the device); the
   /// tenant's think clock still starts here.
   void retire(size_t Idx, double T) {
     Policy.completeOn(DeviceOf[Idx], Accounted[Idx], true);
@@ -593,7 +638,7 @@ private:
       Loop->issue(Loop->tenantPos(Idx), At);
   }
 
-  cluster::Fleet &Fleet;
+  std::span<const ReplayDevice> Members;
   cluster::PlacementPolicy &Policy;
   const ClusterOptions &Opts;
   ClusterOutcome &Out;
@@ -623,33 +668,14 @@ private:
   std::map<std::pair<size_t, size_t>, SoloObservation> Observed;
 };
 
-/// Keeps the Devices-indexed-by-fleet-position contract on the
-/// degenerate no-requests paths: every device reports, just idle.
-void fillIdleDevices(cluster::Fleet &Fleet, ClusterOutcome &Out) {
-  Out.Devices.resize(Fleet.size());
-  for (size_t D = 0; D != Fleet.size(); ++D)
-    Out.Devices[D].Name = Fleet.device(D).Name;
-}
-
-} // namespace
-
-ClusterOutcome harness::runClusterReplay(cluster::Fleet &Fleet,
-                                         cluster::PlacementPolicy &Policy,
-                                         const ClusterWorkload &Workload,
-                                         const ClusterOptions &Opts) {
-  assert((Workload.Trace != nullptr) != (Workload.Script != nullptr) &&
-         "workload must be exactly one of open-loop or closed-loop");
-  ClusterOutcome Out;
-  Out.Stream.FinalWeights = Opts.Stream.Weights;
+/// Drives the merged clock over \p Members until every request of
+/// \p Workload has finished or been lost.
+template <accelos::AdmissionScheduler SchedulerT>
+void replay(std::span<const ReplayDevice> Members,
+            cluster::PlacementPolicy &Policy, const ClusterWorkload &Workload,
+            const ClusterOptions &Opts, size_t Total, ClusterOutcome &Out) {
+  ClusterReplay<SchedulerT> CR(Members, Policy, Opts, Out);
   const std::vector<workloads::TimedRequest> *Trace = Workload.Trace;
-  const size_t Total =
-      Trace ? Trace->size() : Workload.Script->totalRequests();
-  if (Total == 0 || Fleet.empty()) {
-    fillIdleDevices(Fleet, Out);
-    return Out;
-  }
-
-  ClusterReplay CR(Fleet, Policy, Opts, Out);
   std::optional<ClosedLoopDriver> Loop;
   if (Workload.Script) {
     Loop.emplace(*Workload.Script);
@@ -694,20 +720,44 @@ ClusterOutcome harness::runClusterReplay(cluster::Fleet &Fleet,
   assert((!Workload.Script || CR.RS.Trace.size() == Total) &&
          "script not fully replayed");
   CR.finalize();
+}
+
+} // namespace
+
+ClusterOutcome harness::runClusterReplay(std::span<const ReplayDevice> Devices,
+                                         cluster::PlacementPolicy &Policy,
+                                         const ClusterWorkload &Workload,
+                                         const ClusterOptions &Opts) {
+  assert((Workload.Trace != nullptr) != (Workload.Script != nullptr) &&
+         "workload must be exactly one of open-loop or closed-loop");
+  ClusterOutcome Out;
+  Out.Stream.FinalWeights = Opts.Stream.Weights;
+  const size_t Total = Workload.Trace ? Workload.Trace->size()
+                                      : Workload.Script->totalRequests();
+  if (Total == 0 || Devices.empty()) {
+    // Every device still reports, just idle: consumers may index the
+    // per-device results by fleet position unconditionally.
+    Out.Devices.resize(Devices.size());
+    for (size_t D = 0; D != Devices.size(); ++D)
+      Out.Devices[D].Name = Devices[D].Driver->device().Name;
+    return Out;
+  }
+  if (Opts.Stream.Admission == StreamOptions::AdmissionMode::Stride)
+    replay<accelos::StrideScheduler>(Devices, Policy, Workload, Opts, Total,
+                                     Out);
+  else
+    replay<accelos::ContinuousScheduler>(Devices, Policy, Workload, Opts,
+                                         Total, Out);
   return Out;
 }
 
-ClusterOutcome harness::runCluster(
-    cluster::Fleet &Fleet, cluster::PlacementPolicy &Policy,
-    const std::vector<workloads::TimedRequest> &Trace,
-    const ClusterOptions &Opts) {
-  return runClusterReplay(Fleet, Policy, ClusterWorkload::openLoop(Trace),
-                          Opts);
-}
-
-ClusterOutcome harness::runClusterClosedLoop(
-    cluster::Fleet &Fleet, cluster::PlacementPolicy &Policy,
-    const workloads::ClosedLoopScript &Script, const ClusterOptions &Opts) {
-  return runClusterReplay(Fleet, Policy,
-                          ClusterWorkload::closedLoop(Script), Opts);
+ClusterOutcome harness::runClusterReplay(cluster::Fleet &Fleet,
+                                         cluster::PlacementPolicy &Policy,
+                                         const ClusterWorkload &Workload,
+                                         const ClusterOptions &Opts) {
+  std::vector<ReplayDevice> Devices(Fleet.size());
+  for (size_t D = 0; D != Fleet.size(); ++D)
+    Devices[D] = {&Fleet.driver(D), Fleet.serviceRate(D),
+                  Fleet.meanSoloDuration(D)};
+  return runClusterReplay(Devices, Policy, Workload, Opts);
 }

@@ -8,11 +8,11 @@
 /// The cluster serving loop: one request stream scheduled across a
 /// cluster::Fleet of heterogeneous simulated devices on a single merged
 /// event clock. Every device runs its own arrival-aware continuous
-/// scheduler (sim::EngineSession + accelos::ContinuousScheduler,
-/// exactly the per-device discipline of harness::runStream's Continuous
-/// mode); the cluster layer adds the placement decision — which device
-/// a request runs on (cluster::PlacementPolicy) — and keeps fairness
-/// cluster-wide:
+/// scheduler (sim::EngineSession + an accelos::AdmissionScheduler:
+/// ContinuousScheduler, or StrideScheduler when StreamOptions::Admission
+/// is Stride); the cluster layer adds the placement decision — which
+/// device a request runs on (cluster::PlacementPolicy) — and keeps
+/// fairness cluster-wide:
 ///
 ///  - per-tenant sharing weights apply on every device a tenant's
 ///    requests land on;
@@ -22,19 +22,20 @@
 ///    propagate to every device's scheduler through the next
 ///    submissions and slice requeues.
 ///
-/// The merged clock works like the single-device continuous loop
-/// generalized over N sessions: arrivals due now are placed and
-/// admitted, then every session advances to the earliest next event
-/// anywhere in the fleet (or the next arrival / scripted fleet event,
-/// whichever is first). With a single-device fleet the loop degenerates
-/// to exactly runStream's continuous replay — same events in the same
-/// order, so the output is bit-identical (regression-tested).
+/// The merged clock is the continuous-admission event loop over N
+/// sessions: arrivals due now are placed and admitted, then every
+/// session advances to the earliest next event anywhere in the fleet
+/// (or the next arrival / scripted fleet event, whichever is first).
+/// This is the only accelOS continuous loop in the library: the
+/// single-device entry points (harness::runStream's Continuous and
+/// Stride modes, harness::runClosedLoop's accelOS path) run it on a
+/// one-device view, pinned by tests/golden/single_device.golden.
 ///
 /// One entry point serves both workload shapes: runClusterReplay takes
 /// a ClusterWorkload (an open-loop timed trace OR a closed-loop
-/// script — the reactive issue-on-completion loop of runClosedLoop) and
-/// ClusterOptions carries everything else. runCluster and
-/// runClusterClosedLoop remain as thin compatibility wrappers.
+/// script — each tenant's next scripted request is issued on a
+/// completion plus think time and placed at arrival) and ClusterOptions
+/// carries everything else.
 ///
 /// The fleet is neither static nor immortal. ClusterOptions::FleetPlan
 /// scripts capacity events against the merged clock: a device goes
@@ -64,6 +65,7 @@
 #include "workloads/Arrivals.h"
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -119,7 +121,8 @@ struct ClusterOutcome {
   /// consumer already understands: per-request timings, slowdowns
   /// (normalized to the isolated duration on the device that served
   /// the request's final slice), unfairness, makespan, FinalWeights.
-  /// Rounds/Deferrals aggregate over the fleet.
+  /// The scheduler counters (Rounds, Deferrals, FullSolves, FastPasses,
+  /// EngineCompletions) sum over the fleet.
   StreamOutcome Stream;
   std::vector<ClusterDeviceOutcome> Devices; ///< Indexed by fleet position.
   /// The (final) placement of every request, parallel to
@@ -186,8 +189,10 @@ struct MigrationOptions {
 
 /// Cluster replay knobs: the single-device streaming options (weights,
 /// quantum, SLO targets/adaptation, strict shares, issue-capacity
-/// clamp) apply per device; Admission is ignored — the cluster always
-/// runs arrival-aware continuous admission.
+/// clamp) apply per device. Stream.Admission selects each device's
+/// scheduler: Stride runs accelos::StrideScheduler, anything else
+/// (Continuous, and RoundSync, which the cluster has no loop for) runs
+/// accelos::ContinuousScheduler.
 struct ClusterOptions {
   StreamOptions Stream;
   /// accelOS batching mode of the per-device work-queue launches.
@@ -235,29 +240,35 @@ struct ClusterWorkload {
   }
 };
 
+/// One device as the replay core reads it: the compiled workload view
+/// plus the two throughput probes placement prices by. The Fleet entry
+/// point builds these from cluster::Fleet; the single-device loops pass
+/// their caller's driver alone, since placement over one device reads
+/// neither probe.
+struct ReplayDevice {
+  ExperimentDriver *Driver = nullptr;
+  /// cluster::Fleet::serviceRate: the placement load view's rate.
+  double ServiceRate = 1.0;
+  /// cluster::Fleet::meanSoloDuration: the SoloEstimateKind::Blind
+  /// estimate.
+  double MeanSoloDuration = 0;
+};
+
 /// Replays \p Workload across \p Fleet under \p Policy — THE cluster
 /// entry point; open vs closed loop is a property of the workload, not
-/// a second function. Unlike runStream, AdaptiveSloWeights is honoured
-/// here too: the cluster has a genuine cross-device control plane.
+/// a second function. AdaptiveSloWeights drives one cross-device SLO
+/// controller.
 ClusterOutcome runClusterReplay(cluster::Fleet &Fleet,
                                 cluster::PlacementPolicy &Policy,
                                 const ClusterWorkload &Workload,
                                 const ClusterOptions &Opts = {});
 
-/// Compatibility wrapper: open-loop \p Trace via runClusterReplay.
-ClusterOutcome runCluster(cluster::Fleet &Fleet,
-                          cluster::PlacementPolicy &Policy,
-                          const std::vector<workloads::TimedRequest> &Trace,
-                          const ClusterOptions &Opts = {});
-
-/// Compatibility wrapper: closed-loop \p Script via runClusterReplay
-/// (each tenant's next scripted request is issued on a completion plus
-/// think time, exactly as in runClosedLoop, and placed at arrival).
-ClusterOutcome
-runClusterClosedLoop(cluster::Fleet &Fleet,
-                     cluster::PlacementPolicy &Policy,
-                     const workloads::ClosedLoopScript &Script,
-                     const ClusterOptions &Opts = {});
+/// The replay core over explicit per-device inputs, indexed by fleet
+/// position; the drivers must outlive the call.
+ClusterOutcome runClusterReplay(std::span<const ReplayDevice> Devices,
+                                cluster::PlacementPolicy &Policy,
+                                const ClusterWorkload &Workload,
+                                const ClusterOptions &Opts = {});
 
 } // namespace harness
 } // namespace accel

@@ -6,18 +6,19 @@
 ///
 /// \file
 /// The request-level machinery behind the serving loops, shared by the
-/// single-device replays (harness::runStream / runClosedLoop) and the
-/// multi-device cluster replay (harness::runCluster): per-request slice
-/// progress, the demand/launch builders handed to the schedulers, and
-/// the closed-loop issue heap. Internal to the library — everything
-/// lives in harness::detail and the types leak no ABI promises.
+/// single-device FIFO / Elastic Kernels / round-synchronous replays
+/// (harness::runStream / runClosedLoop) and the continuous replay core
+/// (harness::runClusterReplay, which also serves the single-device
+/// accelOS continuous and stride modes): per-request slice progress,
+/// the demand/launch builders handed to the schedulers, and the
+/// closed-loop issue heap. Internal to the library — everything lives
+/// in harness::detail and the types leak no ABI promises.
 ///
-/// ReplayState grew one cluster-shaped extension: every materialized
-/// request may carry its *own* ExperimentDriver (the compiled view of
-/// the device it was placed on), so demands, slice launches, and
-/// isolated baselines all come from the device that actually serves the
-/// request. Single-device callers never pass a driver and the original
-/// behaviour is bit-identical.
+/// Every materialized request may carry its *own* ExperimentDriver (the
+/// compiled view of the device it was placed on), so demands, slice
+/// launches, and isolated baselines all come from the device that
+/// actually serves the request. Single-device callers never pass a
+/// driver.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +53,7 @@ struct LiveRequest {
 
 /// The request-level machinery shared by the open-loop replay
 /// (runStream), the closed-loop tenant loop (runClosedLoop), and the
-/// cluster replay (runCluster): the materialized request list,
+/// cluster replay (runClusterReplay): the materialized request list,
 /// per-request slice progress, and the demand/launch builders handed to
 /// the schedulers. Trace may keep growing during a closed-loop run;
 /// every accessor indexes it afresh.
@@ -154,10 +155,10 @@ public:
     // Work slicing: run at most a quantum's worth of the virtual range
     // (paper Sec. 2.4: the virtual work queue is what makes
     // bounded-progress launches possible), requeueing the remainder.
-    size_t End = quantumSliceEnd(CK.WGCosts, LR.Cursor, GrantWGs,
-                                 CK.Spec->WGSize,
-                                 CK.Spec->IssueEfficiency,
-                                 Opts.RoundQuantum);
+    size_t End = accelos::quantumSliceEnd(CK.WGCosts, LR.Cursor, GrantWGs,
+                                          CK.Spec->WGSize,
+                                          CK.Spec->IssueEfficiency,
+                                          Opts.RoundQuantum);
     for (size_t G = LR.Cursor; G != End; ++G)
       RemainingCostOf[Idx] -= CK.WGCosts[G];
     // The slice is a *view* into the compiled kernel's cost array (the
@@ -263,10 +264,7 @@ private:
 
 /// Queues request \p Idx — with its current remaining demand and
 /// tenant weight — on \p Sched (an arrival or slice-requeue event).
-/// Templated over the scheduler so the stride admission mode
-/// (accelos::StrideScheduler, which charges the request's tenant pass
-/// counter) shares the replay loops with the exact solver.
-template <typename SchedulerT>
+template <accelos::AdmissionScheduler SchedulerT>
 inline void submitRequest(SchedulerT &Sched, const ReplayState &RS,
                           size_t Idx) {
   accelos::RoundRequest R;
@@ -276,9 +274,8 @@ inline void submitRequest(SchedulerT &Sched, const ReplayState &RS,
   Sched.submit(R);
 }
 
-/// One continuous-admission pass at time \p T, shared verbatim by the
-/// single-device loops (runStream / runClosedLoop) and every device of
-/// the cluster replay: grant whatever fits the residual capacity,
+/// One continuous-admission pass at time \p T on one device of the
+/// cluster replay core: grant whatever fits the residual capacity,
 /// turning each grant into a quantum-bounded slice launch. Requests
 /// with no remaining work complete at the boundary without occupying
 /// the device — \p RetireZeroWork is called to do the caller's
@@ -292,7 +289,7 @@ inline void submitRequest(SchedulerT &Sched, const ReplayState &RS,
 /// lives in accelos::runAdmissionPass, shared with the functional
 /// Runtime's continuous pump; this wrapper binds it to ReplayState's
 /// request bookkeeping.
-template <typename SchedulerT, typename RetireFn>
+template <accelos::AdmissionScheduler SchedulerT, typename RetireFn>
 inline bool admissionPass(SchedulerT &Sched, sim::EngineSession &Session,
                           ReplayState &RS, double T,
                           RetireFn &&RetireZeroWork) {
@@ -314,45 +311,6 @@ inline accelos::SchedulingMode modeFor(SchedulerKind Kind) {
   return Kind == SchedulerKind::AccelOSNaive
              ? accelos::SchedulingMode::Naive
              : accelos::SchedulingMode::Optimized;
-}
-
-/// The solver options the continuous scheduler runs under:
-/// StreamOptions::StrictShares turns greedy saturation off so admission
-/// targets are pure weighted entitlements, and FullSolveReference pins
-/// the solver to its reference (pre-fast-path) saturation loop.
-inline accelos::SolverOptions solverOptsFor(const StreamOptions &Opts) {
-  accelos::SolverOptions SOpts;
-  SOpts.GreedySaturation = !Opts.StrictShares;
-  SOpts.FastSaturation = !Opts.FullSolveReference;
-  return SOpts;
-}
-
-/// The scheduler options the continuous scheduler runs under:
-/// FullSolveReference disables the incremental fast paths (every
-/// admission pass runs a full share solve — the measurement baseline),
-/// and SelfCheckIncremental cross-checks every fast pass against a
-/// fresh full solve in debug builds.
-inline accelos::SchedulerOptions schedOptsFor(const StreamOptions &Opts) {
-  accelos::SchedulerOptions SO;
-  SO.Incremental = !Opts.FullSolveReference;
-  SO.SelfCheck = Opts.SelfCheckIncremental;
-  return SO;
-}
-
-/// The capacity the continuous scheduler shares out: the device caps,
-/// with the thread dimension optionally clamped to a bounded
-/// oversubscription of the issue lanes (StreamOptions::
-/// IssueCapacityFactor) so admission controls the contended resource.
-inline accelos::ResourceCaps capsFor(const sim::DeviceSpec &Spec,
-                                     const StreamOptions &Opts) {
-  accelos::ResourceCaps Caps = accelos::ResourceCaps::fromDevice(Spec);
-  if (Opts.IssueCapacityFactor > 0)
-    Caps.Threads = std::min(
-        Caps.Threads,
-        static_cast<uint64_t>(Opts.IssueCapacityFactor *
-                              static_cast<double>(Spec.NumCUs) *
-                              static_cast<double>(Spec.LanesPerCU)));
-  return Caps;
 }
 
 /// A scripted request whose arrival instant has been decided (issue

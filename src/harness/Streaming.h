@@ -40,23 +40,28 @@
 ///    schedule bit-for-bit (regression-tested); under streaming
 ///    arrivals it cuts queueing delay because a request no longer
 ///    waits out the makespan of a round it missed.
+///  - Stride: the same event loop with accelos::StrideScheduler's
+///    pass/stride tenant counters in place of the fair-share solve.
+///
+/// Continuous and Stride run on the cluster replay core
+/// (harness::runClusterReplay, cluster/ClusterHarness.h) over a
+/// one-device view of the caller's driver: the library has one accelOS
+/// continuous event loop, and a single device is its N = 1 case.
 ///
 /// Beyond the open loop, runClosedLoop() is the *TenantLoop* mode:
 /// arrivals are not a fixed trace but reactions — each tenant keeps at
 /// most its Concurrency requests outstanding and issues the next
 /// scripted request only after a predecessor drains plus a think time
-/// (backpressure). The accelOS path reuses sim::EngineSession +
-/// accelos::ContinuousScheduler, and an optional SLO layer
-/// (StreamOptions::SloTargets + AdaptiveSloWeights) feeds each tenant's
-/// observed p95 queueing delay back into its fair-share weight through
-/// accelos::SloWeightController.
+/// (backpressure). Its accelOS path is the same replay core, and an
+/// optional SLO layer (StreamOptions::SloTargets + AdaptiveSloWeights)
+/// feeds each tenant's observed p95 queueing delay back into its
+/// fair-share weight through accelos::SloWeightController.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ACCEL_HARNESS_STREAMING_H
 #define ACCEL_HARNESS_STREAMING_H
 
-#include "accelos/AdmissionLoop.h"
 #include "accelos/Scheduler.h"
 #include "harness/Experiment.h"
 #include "metrics/Metrics.h"
@@ -107,13 +112,14 @@ struct StreamOutcome {
   double Makespan = 0;   ///< Completion time of the last request.
   double Unfairness = 1; ///< max/min over Slowdowns.
   /// Scheduling decisions: engine rounds for RoundSync (1 for FIFO),
-  /// admission passes for Continuous.
+  /// admission passes for Continuous and Stride (summed over the
+  /// devices of a cluster replay).
   size_t Rounds = 0;
   uint64_t Deferrals = 0; ///< Scheduler deferrals (accelOS only).
   /// Admission passes that ran a full fair-share solve vs the
-  /// incremental/stride fast path (continuous accelOS only; the
-  /// fallback-to-full-solve counter). Rounds == FullSolves + FastPasses
-  /// on those paths.
+  /// incremental/stride fast path (continuous and stride accelOS only;
+  /// the fallback-to-full-solve counter). Rounds == FullSolves +
+  /// FastPasses on those paths.
   uint64_t FullSolves = 0;
   uint64_t FastPasses = 0;
   /// Engine completion events delivered to the replay loop (slice
@@ -170,8 +176,9 @@ struct StreamOptions {
   /// disables slicing — granted kernels run to completion.
   double RoundQuantum = 0;
   /// Admission discipline for the accelOS path. The closed-loop tenant
-  /// loop always runs continuous admission (its whole point is reacting
-  /// to individual completions), so runClosedLoop ignores this knob.
+  /// loop has no round-synchronous form (its whole point is reacting to
+  /// individual completions): runClosedLoop runs Stride when asked and
+  /// continuous admission otherwise, as does the cluster replay.
   AdmissionMode Admission = AdmissionMode::RoundSync;
 
   /// Per-tenant SLO: a latency target expressed as a bound on each
@@ -181,10 +188,12 @@ struct StreamOptions {
   /// Drives SLO-attainment/goodput reporting and, when
   /// AdaptiveSloWeights is set, the weight controller.
   std::map<int, double> SloTargets;
-  /// Closed-loop accelOS only: periodically re-weight tenants from
-  /// their observed p95 queueing time via accelos::SloWeightController
-  /// (multiplicative increase toward missed SLOs, bounded boost). The
-  /// FIFO and EK baselines have no weights to steer and ignore this.
+  /// Continuous and stride accelOS (open or closed loop, one device or
+  /// a fleet): periodically re-weight tenants from their observed p95
+  /// queueing time via accelos::SloWeightController (multiplicative
+  /// increase toward missed SLOs, bounded boost). The FIFO and EK
+  /// baselines and the RoundSync loop have no weights to steer and
+  /// ignore this.
   bool AdaptiveSloWeights = false;
   /// Control interval of the SLO controller, in simulation time units.
   /// Must be positive when AdaptiveSloWeights is set.
@@ -250,19 +259,6 @@ inline double streamSlowdown(double Latency, double AloneDuration) {
   return metrics::individualSlowdown(Latency, AloneDuration);
 }
 
-/// Computes the end of the quantum-bounded slice [Cursor, End) of a
-/// virtual work range. Forwards to accelos::quantumSliceEnd — the
-/// implementation moved next to the shared admission pass when the
-/// functional Runtime adopted the continuous stack; this alias keeps
-/// the harness-side callers (and tests) source-compatible.
-inline size_t quantumSliceEnd(const std::vector<double> &WGCosts,
-                              size_t Cursor, uint64_t GrantWGs,
-                              uint64_t WGThreads, double IssueEfficiency,
-                              double Quantum) {
-  return accelos::quantumSliceEnd(WGCosts, Cursor, GrantWGs, WGThreads,
-                                  IssueEfficiency, Quantum);
-}
-
 /// Replays \p Trace under \p Kind on \p Driver's device.
 StreamOutcome runStream(ExperimentDriver &Driver, SchedulerKind Kind,
                         const std::vector<workloads::TimedRequest> &Trace,
@@ -275,12 +271,12 @@ StreamOutcome runStream(ExperimentDriver &Driver, SchedulerKind Kind,
 /// scheduling decisions instead of being fixed up front, and a slow
 /// scheduler is offered less load (backpressure), exactly like a real
 /// closed-loop serving client. The accelOS path runs arrival-aware
-/// continuous admission (one sim::EngineSession +
-/// accelos::ContinuousScheduler); FIFO submits reactively into the
-/// hardware queue and EK merges whatever is pending at each round
-/// boundary. With AdaptiveSloWeights, completions feed the
-/// SloWeightController and new/requeued submissions pick up the adapted
-/// weights. The outcome's Requests are in arrival order.
+/// continuous (or, with Admission == Stride, stride) admission on the
+/// cluster replay core; FIFO submits reactively into the hardware queue
+/// and EK merges whatever is pending at each round boundary. With
+/// AdaptiveSloWeights, completions feed the SloWeightController and
+/// new/requeued submissions pick up the adapted weights. The outcome's
+/// Requests are in arrival order.
 StreamOutcome runClosedLoop(ExperimentDriver &Driver, SchedulerKind Kind,
                             const workloads::ClosedLoopScript &Script,
                             const StreamOptions &Opts = {});

@@ -1364,8 +1364,8 @@ TEST(ContinuousSchedulerTest, IncrementalMatchesFullSolveOnEventSoup) {
         InFlight.push_back(G.Id);
   }
 
-  const SchedulerStats &FS = Full.schedulerStats();
-  const SchedulerStats &IS = Inc.schedulerStats();
+  const SchedulerStats &FS = Full.stats();
+  const SchedulerStats &IS = Inc.stats();
   // The reference never fast-passes; the incremental path splits its
   // passes between fast paths and full-solve fallbacks, and takes at
   // least some of each on a soup this varied.

@@ -10,13 +10,14 @@
 /// notifications, alive-mask handling, migration suggestions), the
 /// determinism contract (same trace + fleet + policy + fault plan =>
 /// bit-identical outcomes, migrations and failures included), the
-/// single-device degeneration (an equal-weight one-device fleet replays
-/// runStream's continuous schedule bit-for-bit), a committed golden
-/// fixture pinning fault-free replays to the pre-redesign output
-/// byte-for-byte, and the resilience machinery: deterministic fault
-/// replay, no-lost-requests while capacity remains, work conservation
-/// across migration and failover, elastic scale-up, retry-budget
-/// exhaustion, and closed-loop scripts draining through faults.
+/// fleet-summed scheduler counters, a committed golden fixture pinning
+/// fault-free replays to the pre-redesign output byte-for-byte (the
+/// single-device case is pinned by StreamingTests' golden fixture, since
+/// runStream and runClosedLoop run this same core), and the resilience
+/// machinery: deterministic fault replay, no-lost-requests while
+/// capacity remains, work conservation across migration and failover,
+/// elastic scale-up, retry-budget exhaustion, and closed-loop scripts
+/// draining through faults.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +39,7 @@ using namespace accel;
 using namespace accel::cluster;
 using harness::ClusterOptions;
 using harness::ClusterOutcome;
+using harness::ClusterWorkload;
 using harness::FleetEvent;
 using harness::SchedulerKind;
 using harness::StreamOptions;
@@ -277,7 +279,8 @@ TEST_F(ClusterTest, CompletesEverythingOnMixedFleet) {
         PlacementKind::HeterogeneityAware}) {
     auto P = makePlacementPolicy(K);
     ClusterOutcome O =
-        harness::runCluster(fleet(), *P, Trace, options());
+        harness::runClusterReplay(
+            fleet(), *P, ClusterWorkload::openLoop(Trace), options());
     ASSERT_EQ(O.Stream.Requests.size(), Trace.size()) << P->name();
     ASSERT_EQ(O.Placement.size(), Trace.size()) << P->name();
     EXPECT_TRUE(O.LostRequests.empty()) << P->name();
@@ -289,6 +292,16 @@ TEST_F(ClusterTest, CompletesEverythingOnMixedFleet) {
       EXPECT_LE(D.Utilization, 1.0 + 1e-9);
     }
     EXPECT_EQ(PerDevice, Trace.size()) << P->name();
+    // The scheduler counters sum over the fleet, and every admission
+    // pass is either a full solve or a fast pass.
+    size_t Rounds = 0;
+    for (const harness::ClusterDeviceOutcome &D : O.Devices)
+      Rounds += D.Rounds;
+    EXPECT_EQ(O.Stream.Rounds, Rounds) << P->name();
+    EXPECT_EQ(O.Stream.Rounds, O.Stream.FullSolves + O.Stream.FastPasses)
+        << P->name();
+    EXPECT_GT(O.Stream.FullSolves, 0u) << P->name();
+    EXPECT_GE(O.Stream.EngineCompletions, Trace.size()) << P->name();
     for (const StreamRequestResult &R : O.Stream.Requests) {
       EXPECT_GE(R.StartTime, R.ArrivalTime - 1e-9)
           << P->name() << " request " << R.RequestIdx
@@ -310,10 +323,37 @@ TEST_F(ClusterTest, SameInputsAreBitIdentical) {
        {PlacementKind::RoundRobin, PlacementKind::LeastLoaded,
         PlacementKind::HeterogeneityAware}) {
     auto P = makePlacementPolicy(K);
-    ClusterOutcome A = harness::runCluster(fleet(), *P, Trace, options());
-    ClusterOutcome B = harness::runCluster(fleet(), *P, Trace, options());
+    ClusterOutcome A = harness::runClusterReplay(
+        fleet(), *P, ClusterWorkload::openLoop(Trace), options());
+    ClusterOutcome B = harness::runClusterReplay(
+        fleet(), *P, ClusterWorkload::openLoop(Trace), options());
     SCOPED_TRACE(P->name());
     expectIdentical(A, B);
+  }
+}
+
+TEST_F(ClusterTest, StrideAdmissionRunsOnEveryDevice) {
+  // StreamOptions::Admission == Stride swaps every device's scheduler
+  // for StrideScheduler: the solver never runs, the replay stays
+  // deterministic, and work is still conserved across the fleet.
+  std::vector<workloads::TimedRequest> Trace = poisson(24, 42);
+  ClusterOptions Opts = options();
+  Opts.Stream.Admission = StreamOptions::AdmissionMode::Stride;
+  Opts.Stream.Weights = {{0, 3.0}};
+  auto P = makePlacementPolicy(PlacementKind::HeterogeneityAware);
+  ClusterOutcome A = harness::runClusterReplay(
+      fleet(), *P, ClusterWorkload::openLoop(Trace), Opts);
+  ClusterOutcome B = harness::runClusterReplay(
+      fleet(), *P, ClusterWorkload::openLoop(Trace), Opts);
+  expectIdentical(A, B);
+  EXPECT_TRUE(A.LostRequests.empty());
+  EXPECT_EQ(A.RequestedWGs, A.ExecutedWGs);
+  EXPECT_EQ(A.Stream.FullSolves, 0u);
+  EXPECT_EQ(A.Stream.FastPasses, A.Stream.Rounds);
+  EXPECT_GT(A.Stream.Rounds, 0u);
+  for (const StreamRequestResult &R : A.Stream.Requests) {
+    EXPECT_GE(R.StartTime, R.ArrivalTime - 1e-9);
+    EXPECT_GE(R.EndTime, R.StartTime);
   }
 }
 
@@ -357,7 +397,8 @@ TEST_F(ClusterTest, FaultFreeReplayMatchesPreRedesignGolden) {
         PlacementKind::HeterogeneityAware}) {
     auto P = makePlacementPolicy(K);
     ClusterOutcome O =
-        harness::runCluster(fleet(), *P, Trace, options());
+        harness::runClusterReplay(
+            fleet(), *P, ClusterWorkload::openLoop(Trace), options());
     Emit(placementName(K), O);
   }
   std::vector<workloads::ClosedLoopTenant> Tenants(3);
@@ -374,7 +415,8 @@ TEST_F(ClusterTest, FaultFreeReplayMatchesPreRedesignGolden) {
   COpts.Stream.SloTuning.MinSamples = 1;
   auto P = makePlacementPolicy(PlacementKind::LeastLoaded);
   ClusterOutcome O =
-      harness::runClusterClosedLoop(fleet(), *P, Script, COpts);
+      harness::runClusterReplay(
+          fleet(), *P, ClusterWorkload::closedLoop(Script), COpts);
   Emit("closed-loop-least-loaded", O);
 
   std::ifstream In(std::string(ACCEL_SOURCE_DIR) +
@@ -385,117 +427,21 @@ TEST_F(ClusterTest, FaultFreeReplayMatchesPreRedesignGolden) {
   EXPECT_EQ(Got, Want.str());
 }
 
-TEST_F(ClusterTest, SingleDeviceFleetMatchesRunStreamContinuous) {
-  // The degeneration contract behind the whole layer: an equal-weight
-  // single-device fleet is the single-device serving loop — the merged
-  // clock replays runStream's continuous admission bit-for-bit.
-  static Fleet Solo = [] {
-    Fleet F;
-    F.addDevice(sim::DeviceSpec::nvidiaK20m());
-    return F;
-  }();
-  std::vector<workloads::TimedRequest> Trace;
-  {
-    workloads::TraceOptions TOpts;
-    TOpts.NumRequests = 20;
-    TOpts.NumTenants = 3;
-    TOpts.MeanInterarrival = Solo.meanSoloDuration(0);
-    TOpts.Seed = 20260730;
-    Trace = workloads::poissonTrace(Solo.driver(0).numKernels(), TOpts);
-  }
-
-  ClusterOptions COpts;
-  COpts.Stream.RoundQuantum = 0.25 * Solo.meanSoloDuration(0);
-  StreamOptions SOpts = COpts.Stream;
-  SOpts.Admission = StreamOptions::AdmissionMode::Continuous;
-
-  auto P = makePlacementPolicy(PlacementKind::HeterogeneityAware);
-  ClusterOutcome C = harness::runCluster(Solo, *P, Trace, COpts);
-  StreamOutcome S = harness::runStream(
-      Solo.driver(0), SchedulerKind::AccelOSOptimized, Trace, SOpts);
-
-  ASSERT_EQ(C.Stream.Requests.size(), S.Requests.size());
-  for (size_t I = 0; I != S.Requests.size(); ++I) {
-    EXPECT_EQ(C.Stream.Requests[I].ArrivalTime,
-              S.Requests[I].ArrivalTime) << "request " << I;
-    EXPECT_EQ(C.Stream.Requests[I].StartTime, S.Requests[I].StartTime)
-        << "request " << I;
-    EXPECT_EQ(C.Stream.Requests[I].EndTime, S.Requests[I].EndTime)
-        << "request " << I;
-  }
-  EXPECT_EQ(C.Stream.Makespan, S.Makespan);
-  EXPECT_EQ(C.Stream.Unfairness, S.Unfairness);
-  EXPECT_EQ(C.Stream.Rounds, S.Rounds);
-  EXPECT_EQ(C.Stream.Deferrals, S.Deferrals);
-  for (size_t D : C.Placement)
-    EXPECT_EQ(D, 0u);
-}
-
-TEST_F(ClusterTest, SingleDeviceClosedLoopMatchesRunClosedLoop) {
-  // The reactive twin of the open-loop degeneration: on a one-device
-  // fleet, the closed-loop cluster replay — adaptive SLO weights
-  // included — must replay runClosedLoop's accelOS continuous schedule
-  // bit-for-bit (same materialization order, same controller
-  // observations and update instants, and the zero-work retire corner
-  // skips the SLO observation in both loops).
-  static Fleet Solo = [] {
-    Fleet F;
-    F.addDevice(sim::DeviceSpec::nvidiaK20m());
-    return F;
-  }();
-  double Dur = Solo.meanSoloDuration(0);
-  std::vector<workloads::ClosedLoopTenant> Tenants(3);
-  Tenants[0] = {0, 10, 1, 0.25 * Dur, 41, {0, 1, 2, 3}};
-  Tenants[1] = {1, 8, 3, 0.05 * Dur, 42, {}};
-  Tenants[2] = {2, 6, 2, 0.50 * Dur, 43, {}};
-  workloads::ClosedLoopScript Script = workloads::closedLoopTrace(
-      Solo.driver(0).numKernels(), Tenants);
-
-  ClusterOptions COpts;
-  COpts.Stream.RoundQuantum = 0.25 * Dur;
-  COpts.Stream.StrictShares = true;
-  COpts.Stream.SloTargets = {{0, Dur}};
-  COpts.Stream.AdaptiveSloWeights = true;
-  COpts.Stream.SloControlInterval = Dur;
-  COpts.Stream.SloTuning.MinSamples = 1;
-
-  auto P = makePlacementPolicy(PlacementKind::LeastLoaded);
-  ClusterOutcome C =
-      harness::runClusterClosedLoop(Solo, *P, Script, COpts);
-  StreamOutcome S = harness::runClosedLoop(
-      Solo.driver(0), SchedulerKind::AccelOSOptimized, Script,
-      COpts.Stream);
-
-  ASSERT_EQ(C.Stream.Requests.size(), S.Requests.size());
-  for (size_t I = 0; I != S.Requests.size(); ++I) {
-    EXPECT_EQ(C.Stream.Requests[I].Tenant, S.Requests[I].Tenant);
-    EXPECT_EQ(C.Stream.Requests[I].ArrivalTime,
-              S.Requests[I].ArrivalTime) << "request " << I;
-    EXPECT_EQ(C.Stream.Requests[I].StartTime, S.Requests[I].StartTime)
-        << "request " << I;
-    EXPECT_EQ(C.Stream.Requests[I].EndTime, S.Requests[I].EndTime)
-        << "request " << I;
-  }
-  EXPECT_EQ(C.Stream.Makespan, S.Makespan);
-  EXPECT_EQ(C.Stream.Rounds, S.Rounds);
-  EXPECT_EQ(C.Stream.Deferrals, S.Deferrals);
-  EXPECT_EQ(C.Stream.WeightUpdates, S.WeightUpdates);
-  EXPECT_EQ(C.Stream.FinalWeights, S.FinalWeights);
-}
-
 TEST_F(ClusterTest, EmptyTraceStillReportsEveryDevice) {
   // The degenerate no-requests paths keep the Devices-indexed-by-
   // fleet-position contract: consumers may index per-device results
   // unconditionally.
   auto P = makePlacementPolicy(PlacementKind::RoundRobin);
-  ClusterOutcome O = harness::runCluster(fleet(), *P, {}, options());
+  ClusterOutcome O = harness::runClusterReplay(
+      fleet(), *P, ClusterWorkload::openLoop({}), options());
   ASSERT_EQ(O.Devices.size(), fleet().size());
   for (size_t D = 0; D != fleet().size(); ++D) {
     EXPECT_EQ(O.Devices[D].Name, fleet().device(D).Name);
     EXPECT_EQ(O.Devices[D].Requests, 0u);
   }
-  ClusterOutcome OC = harness::runClusterClosedLoop(
-      fleet(), *P, workloads::ClosedLoopScript{}, options());
+  ClusterOutcome OC = harness::runClusterReplay(
+      fleet(), *P, ClusterWorkload::closedLoop(workloads::ClosedLoopScript{}),
+      options());
   ASSERT_EQ(OC.Devices.size(), fleet().size());
 }
 
@@ -504,7 +450,8 @@ TEST_F(ClusterTest, StickyAffinityKeepsTenantsPut) {
   ClusterOptions Opts = options();
   Opts.StickyTenantAffinity = true;
   auto P = makePlacementPolicy(PlacementKind::LeastLoaded);
-  ClusterOutcome O = harness::runCluster(fleet(), *P, Trace, Opts);
+  ClusterOutcome O = harness::runClusterReplay(
+      fleet(), *P, ClusterWorkload::openLoop(Trace), Opts);
   std::map<int, size_t> Homes;
   for (size_t I = 0; I != Trace.size(); ++I) {
     auto [It, New] = Homes.emplace(Trace[I].Tenant, O.Placement[I]);
@@ -526,7 +473,8 @@ TEST_F(ClusterTest, ClosedLoopClusterCompletesScript) {
 
   auto P = makePlacementPolicy(PlacementKind::HeterogeneityAware);
   ClusterOutcome A =
-      harness::runClusterClosedLoop(fleet(), *P, Script, options());
+      harness::runClusterReplay(
+          fleet(), *P, ClusterWorkload::closedLoop(Script), options());
   ASSERT_EQ(A.Stream.Requests.size(), Script.totalRequests());
   for (const StreamRequestResult &R : A.Stream.Requests) {
     EXPECT_GE(R.StartTime, R.ArrivalTime - 1e-9);
@@ -534,7 +482,8 @@ TEST_F(ClusterTest, ClosedLoopClusterCompletesScript) {
   }
   // Determinism holds for the reactive loop too.
   ClusterOutcome B =
-      harness::runClusterClosedLoop(fleet(), *P, Script, options());
+      harness::runClusterReplay(
+          fleet(), *P, ClusterWorkload::closedLoop(Script), options());
   expectIdentical(A, B);
 }
 
@@ -559,7 +508,8 @@ TEST_F(ClusterTest, AdaptiveSloWeightsPropagateClusterWide) {
 
   auto P = makePlacementPolicy(PlacementKind::RoundRobin);
   ClusterOutcome O =
-      harness::runClusterClosedLoop(fleet(), *P, Script, Opts);
+      harness::runClusterReplay(
+          fleet(), *P, ClusterWorkload::closedLoop(Script), Opts);
   ASSERT_EQ(O.Stream.FinalWeights.count(0), 1u);
   EXPECT_GE(O.Stream.FinalWeights.at(0), 1.0);
   EXPECT_LE(O.Stream.FinalWeights.at(0),
@@ -594,8 +544,10 @@ TEST_F(ClusterTest, DeterministicFaultReplay) {
   Opts.MaxRetries = 8;
   Opts.Migration.Enabled = true;
   auto P = makePlacementPolicy(PlacementKind::LeastLoaded);
-  ClusterOutcome A = harness::runCluster(fleet(), *P, Trace, Opts);
-  ClusterOutcome B = harness::runCluster(fleet(), *P, Trace, Opts);
+  ClusterOutcome A = harness::runClusterReplay(
+      fleet(), *P, ClusterWorkload::openLoop(Trace), Opts);
+  ClusterOutcome B = harness::runClusterReplay(
+      fleet(), *P, ClusterWorkload::openLoop(Trace), Opts);
   expectIdentical(A, B);
   // And the fault actually bit: the slow device was serving work when
   // it died, so requests were displaced and failed over.
@@ -633,7 +585,8 @@ TEST_F(ClusterTest, NoRequestLostWhileCapacityRemains) {
          .What = FleetEvent::Kind::Up}};
     Opts.MaxRetries = 100;
     auto P = makePlacementPolicy(PlacementKind::HeterogeneityAware);
-    ClusterOutcome O = harness::runCluster(fleet(), *P, Trace, Opts);
+    ClusterOutcome O = harness::runClusterReplay(
+        fleet(), *P, ClusterWorkload::openLoop(Trace), Opts);
     SCOPED_TRACE("seed " + std::to_string(Seed));
     EXPECT_TRUE(O.LostRequests.empty());
     EXPECT_EQ(O.RequestedWGs, O.ExecutedWGs);
@@ -661,7 +614,8 @@ TEST_F(ClusterTest, MigrationConservesWork) {
   Opts.Migration.Enabled = true;
   Opts.Migration.DivergenceFactor = 1.5;
   auto P = makePlacementPolicy(PlacementKind::HeterogeneityAware);
-  ClusterOutcome O = harness::runCluster(fleet(), *P, Trace, Opts);
+  ClusterOutcome O = harness::runClusterReplay(
+      fleet(), *P, ClusterWorkload::openLoop(Trace), Opts);
   EXPECT_TRUE(O.LostRequests.empty());
   EXPECT_EQ(O.RequestedWGs, O.ExecutedWGs);
   EXPECT_GT(O.RequestedWGs, 0u);
@@ -675,9 +629,11 @@ TEST_F(ClusterTest, MigrationConservesWork) {
   }
   // Voluntary migrations respect the per-request budget.
   std::map<size_t, uint32_t> Voluntary;
-  for (const harness::ClusterMigrationRecord &M : O.Migrations)
-    if (!M.Failover)
+  for (const harness::ClusterMigrationRecord &M : O.Migrations) {
+    if (!M.Failover) {
       EXPECT_LE(++Voluntary[M.RequestIdx], Opts.Migration.MaxPerRequest);
+    }
+  }
 }
 
 TEST_F(ClusterTest, ElasticDeviceJoinsMidReplay) {
@@ -690,14 +646,16 @@ TEST_F(ClusterTest, ElasticDeviceJoinsMidReplay) {
   Opts.FleetPlan = {
       {.Time = Join, .Device = 1, .What = FleetEvent::Kind::Up}};
   auto P = makePlacementPolicy(PlacementKind::LeastLoaded);
-  ClusterOutcome O = harness::runCluster(fleet(), *P, Trace, Opts);
+  ClusterOutcome O = harness::runClusterReplay(
+      fleet(), *P, ClusterWorkload::openLoop(Trace), Opts);
   EXPECT_TRUE(O.LostRequests.empty());
   EXPECT_EQ(O.RequestedWGs, O.ExecutedWGs);
   size_t OnJoined = 0;
   for (size_t I = 0; I != Trace.size(); ++I) {
-    if (Trace[I].ArrivalTime < Join)
+    if (Trace[I].ArrivalTime < Join) {
       EXPECT_EQ(O.Placement[I], 0u)
           << "request " << I << " placed on a device not yet joined";
+    }
     if (O.Placement[I] == 1)
       ++OnJoined;
   }
@@ -718,7 +676,8 @@ TEST_F(ClusterTest, RetryBudgetExhaustionLosesDisplacedRequests) {
       {.Time = 2.0 * meanDur(), .Device = 0,
        .What = FleetEvent::Kind::Down}};
   auto P = makePlacementPolicy(PlacementKind::RoundRobin);
-  ClusterOutcome O = harness::runCluster(fleet(), *P, Trace, Opts);
+  ClusterOutcome O = harness::runClusterReplay(
+      fleet(), *P, ClusterWorkload::openLoop(Trace), Opts);
   ASSERT_EQ(O.Faults.size(), 1u);
   EXPECT_GT(O.Faults[0].Displaced, 0u);
   EXPECT_EQ(O.Faults[0].Lost, O.Faults[0].Displaced);
@@ -745,7 +704,8 @@ TEST_F(ClusterTest, FullOutageLosesLateArrivalsUnplaced) {
       {.Time = T, .Device = 0, .What = FleetEvent::Kind::Down},
       {.Time = T, .Device = 1, .What = FleetEvent::Kind::Down}};
   auto P = makePlacementPolicy(PlacementKind::LeastLoaded);
-  ClusterOutcome O = harness::runCluster(fleet(), *P, Trace, Opts);
+  ClusterOutcome O = harness::runClusterReplay(
+      fleet(), *P, ClusterWorkload::openLoop(Trace), Opts);
   ASSERT_EQ(O.Stream.Requests.size(), Trace.size());
   EXPECT_FALSE(O.LostRequests.empty());
   size_t LateArrivals = 0;
@@ -780,12 +740,14 @@ TEST_F(ClusterTest, ClosedLoopScriptDrainsThroughFaults) {
        .What = FleetEvent::Kind::Up}};
   auto P = makePlacementPolicy(PlacementKind::LeastLoaded);
   ClusterOutcome A =
-      harness::runClusterClosedLoop(fleet(), *P, Script, Opts);
+      harness::runClusterReplay(
+          fleet(), *P, ClusterWorkload::closedLoop(Script), Opts);
   ASSERT_EQ(A.Stream.Requests.size(), Script.totalRequests());
   EXPECT_TRUE(A.LostRequests.empty());
   EXPECT_EQ(A.RequestedWGs, A.ExecutedWGs);
   ClusterOutcome B =
-      harness::runClusterClosedLoop(fleet(), *P, Script, Opts);
+      harness::runClusterReplay(
+          fleet(), *P, ClusterWorkload::closedLoop(Script), Opts);
   expectIdentical(A, B);
 }
 

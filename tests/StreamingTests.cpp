@@ -15,14 +15,18 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "accelos/AdmissionLoop.h"
 #include "harness/Streaming.h"
 #include "metrics/Metrics.h"
 #include "workloads/Arrivals.h"
 
 #include "gtest/gtest.h"
 
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 
 using namespace accel;
 using namespace accel::harness;
@@ -310,23 +314,25 @@ TEST(QuantumSliceTest, BudgetUsesCappedWorkerCount) {
   // budget (5 * 32 * 10 = 1600) would have swallowed the entire tail
   // and overrun the quantum fourfold.
   std::vector<double> Costs(8, 100.0);
-  EXPECT_EQ(quantumSliceEnd(Costs, 0, /*GrantWGs=*/32, /*WGThreads=*/10,
-                            /*IssueEfficiency=*/1.0, /*Quantum=*/5.0),
+  EXPECT_EQ(accelos::quantumSliceEnd(Costs, 0, /*GrantWGs=*/32,
+                                     /*WGThreads=*/10,
+                                     /*IssueEfficiency=*/1.0,
+                                     /*Quantum=*/5.0),
             4u);
   // A grant already within the remaining range is unaffected.
-  EXPECT_EQ(quantumSliceEnd(Costs, 0, 8, 10, 1.0, 5.0), 4u);
+  EXPECT_EQ(accelos::quantumSliceEnd(Costs, 0, 8, 10, 1.0, 5.0), 4u);
 }
 
 TEST(QuantumSliceTest, AlwaysTakesAtLeastOneGroup) {
   std::vector<double> Costs(4, 1000.0);
-  EXPECT_EQ(quantumSliceEnd(Costs, 3, 1, 10, 1.0, 1e-6), 4u);
-  EXPECT_EQ(quantumSliceEnd(Costs, 0, 1, 10, 1.0, 1e-6), 1u);
+  EXPECT_EQ(accelos::quantumSliceEnd(Costs, 3, 1, 10, 1.0, 1e-6), 4u);
+  EXPECT_EQ(accelos::quantumSliceEnd(Costs, 0, 1, 10, 1.0, 1e-6), 1u);
 }
 
 TEST(QuantumSliceTest, ZeroQuantumDisablesSlicing) {
   std::vector<double> Costs(16, 100.0);
-  EXPECT_EQ(quantumSliceEnd(Costs, 5, 2, 10, 1.0, 0.0), 16u);
-  EXPECT_EQ(quantumSliceEnd(Costs, 16, 2, 10, 1.0, 1.0), 16u);
+  EXPECT_EQ(accelos::quantumSliceEnd(Costs, 5, 2, 10, 1.0, 0.0), 16u);
+  EXPECT_EQ(accelos::quantumSliceEnd(Costs, 16, 2, 10, 1.0, 1.0), 16u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -443,6 +449,106 @@ TEST_F(ClosedLoopTest, AdaptiveWeightsReactToMissedSlo) {
                                   script(), options());
   EXPECT_EQ(S.WeightUpdates, 0u);
   EXPECT_TRUE(S.FinalWeights.empty());
+}
+
+//===----------------------------------------------------------------------===//
+// Single-device golden fixture
+//===----------------------------------------------------------------------===//
+
+TEST_F(ClosedLoopTest, SingleDeviceOutcomesMatchGolden) {
+  // Pins every accelOS single-device event loop byte-for-byte: open-loop
+  // continuous (optimized and naive batching, with and without the
+  // full-solve reference path), open-loop stride, and the adaptive SLO
+  // closed loop. The fixture was emitted with hexfloat formatting by the
+  // dedicated single-device loops that predate their move onto the
+  // cluster replay core, so every timestamp and counter is compared to
+  // that implementation bit-for-bit.
+  std::string Got;
+  char Buf[512];
+  auto Add = [&](const char *Fmt, auto... Args) {
+    std::snprintf(Buf, sizeof(Buf), Fmt, Args...);
+    Got += Buf;
+  };
+  auto Emit = [&](const char *Scenario, const StreamOutcome &O) {
+    Add("scenario %s\n", Scenario);
+    for (size_t I = 0; I != O.Requests.size(); ++I) {
+      const StreamRequestResult &R = O.Requests[I];
+      Add("request %zu %d %a %a %a\n", I, R.Tenant, R.ArrivalTime,
+          R.StartTime, R.EndTime);
+    }
+    Add("rounds %zu deferrals %llu fullsolves %llu fastpasses %llu\n",
+        O.Rounds, static_cast<unsigned long long>(O.Deferrals),
+        static_cast<unsigned long long>(O.FullSolves),
+        static_cast<unsigned long long>(O.FastPasses));
+    Add("completions %llu weightupdates %llu\n",
+        static_cast<unsigned long long>(O.EngineCompletions),
+        static_cast<unsigned long long>(O.WeightUpdates));
+    for (const auto &[Tenant, W] : O.FinalWeights)
+      Add("finalweight %d %a\n", Tenant, W);
+    Add("makespan %a\nunfairness %a\n", O.Makespan, O.Unfairness);
+  };
+
+  // A light trace (the historical N=1 fleet-parity configuration) and a
+  // saturating weighted one that exercises deferrals and full solves.
+  std::vector<workloads::TimedRequest> Light;
+  {
+    workloads::TraceOptions TOpts;
+    TOpts.NumRequests = 20;
+    TOpts.NumTenants = 3;
+    TOpts.MeanInterarrival = meanDur();
+    TOpts.Seed = 20260730;
+    Light = workloads::poissonTrace(driver().numKernels(), TOpts);
+  }
+  std::vector<workloads::TimedRequest> Heavy;
+  {
+    workloads::TraceOptions TOpts;
+    TOpts.NumRequests = 48;
+    TOpts.NumTenants = 4;
+    TOpts.MeanInterarrival = 0.2 * meanDur();
+    TOpts.Seed = 20261017;
+    Heavy = workloads::poissonTrace(driver().numKernels(), TOpts);
+  }
+
+  StreamOptions Cont;
+  Cont.RoundQuantum = 0.25 * meanDur();
+  Cont.Admission = StreamOptions::AdmissionMode::Continuous;
+  Emit("light-continuous",
+       runStream(driver(), SchedulerKind::AccelOSOptimized, Light, Cont));
+
+  StreamOptions Weighted = Cont;
+  Weighted.Weights = {{1, 2.0}, {2, 0.5}, {3, 4.0}};
+  Emit("heavy-continuous", runStream(driver(),
+                                     SchedulerKind::AccelOSOptimized,
+                                     Heavy, Weighted));
+  Emit("heavy-continuous-naive",
+       runStream(driver(), SchedulerKind::AccelOSNaive, Heavy, Weighted));
+  StreamOptions Reference = Weighted;
+  Reference.FullSolveReference = true;
+  Emit("heavy-full-solve-reference",
+       runStream(driver(), SchedulerKind::AccelOSOptimized, Heavy,
+                 Reference));
+  StreamOptions Stride = Weighted;
+  Stride.Admission = StreamOptions::AdmissionMode::Stride;
+  Emit("heavy-stride", runStream(driver(), SchedulerKind::AccelOSOptimized,
+                                 Heavy, Stride));
+
+  // The historical closed-loop parity script, adaptive SLO weights on.
+  std::vector<workloads::ClosedLoopTenant> Tenants(3);
+  Tenants[0] = {0, 10, 1, 0.25 * meanDur(), 41, {0, 1, 2, 3}};
+  Tenants[1] = {1, 8, 3, 0.05 * meanDur(), 42, {}};
+  Tenants[2] = {2, 6, 2, 0.50 * meanDur(), 43, {}};
+  workloads::ClosedLoopScript Script =
+      workloads::closedLoopTrace(driver().numKernels(), Tenants);
+  Emit("closed-loop-adaptive",
+       runClosedLoop(driver(), SchedulerKind::AccelOSOptimized, Script,
+                     adaptiveOptions()));
+
+  std::ifstream In(std::string(ACCEL_SOURCE_DIR) +
+                   "/tests/golden/single_device.golden");
+  ASSERT_TRUE(In.good()) << "golden fixture missing";
+  std::ostringstream Want;
+  Want << In.rdbuf();
+  EXPECT_EQ(Got, Want.str());
 }
 
 } // namespace
