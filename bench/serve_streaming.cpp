@@ -137,6 +137,7 @@ int main() {
     // grants, so arrivals never serialize behind a giant kernel.
     harness::StreamOptions Round;
     Round.RoundQuantum = 0.25 * MeanDur;
+    Round.Admission = harness::StreamOptions::AdmissionMode::RoundSync;
     harness::StreamOptions Cont = Round;
     Cont.Admission = harness::StreamOptions::AdmissionMode::Continuous;
 

@@ -126,6 +126,7 @@ int main() {
   harness::StreamOptions SOpts;
   SOpts.Weights = {{0, 3.0}, {1, 1.0}}; // tenant 0 is premium
   SOpts.RoundQuantum = 0.25 * MeanDur;
+  SOpts.Admission = harness::StreamOptions::AdmissionMode::RoundSync;
   harness::StreamOptions COpts = SOpts;
   COpts.Admission = harness::StreamOptions::AdmissionMode::Continuous;
   harness::StreamOutcome O = harness::runStream(

@@ -10,13 +10,9 @@
 /// easily be achieved by changing the sharing ratio." Two tenants run
 /// the same kernel; the premium tenant's weight is swept from 1x to 4x
 /// and the example shows the work-group allocation and resulting
-/// dequeue counts shifting proportionally.
-///
-/// This example deliberately runs the legacy round-synchronous
-/// admission path (RuntimeOptions::Admission::RoundSync): requests park
-/// in the round queue until flushRound() drains them round by round —
-/// the compat mode kept for code written against the pre-continuous
-/// API. The other examples show the default continuous/async path.
+/// dequeue counts shifting proportionally. Both requests arrive at the
+/// same instant, so the runtime's first admission pass solves their
+/// weighted shares together.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,10 +42,7 @@ int main() {
                         "basic WGs", "ratio"});
   for (double Weight : {1.0, 2.0, 3.0, 4.0}) {
     auto Device = ocl::Platform::createNvidiaK20m();
-    accelos::RuntimeOptions ROpts;
-    ROpts.Mode = accelos::RuntimeOptions::Admission::RoundSync;
-    accelos::Runtime AccelOS(*Device, accelos::SchedulingMode::Optimized,
-                             ROpts);
+    accelos::Runtime AccelOS(*Device);
     AccelOS.setAppWeight(/*AppId=*/1, Weight);
 
     accelos::ProxyCL Premium(AccelOS, 1), Basic(AccelOS, 2);
@@ -74,7 +67,7 @@ int main() {
     Range.LocalSize[0] = 64;
     cantFail(Premium.enqueueNDRange(Tenants[0].K, Range));
     cantFail(Basic.enqueueNDRange(Tenants[1].K, Range));
-    auto Execs = cantFail(AccelOS.flushRound());
+    auto Execs = cantFail(AccelOS.drain());
 
     double Ratio = static_cast<double>(Execs[0].PhysicalWGs) /
                    static_cast<double>(Execs[1].PhysicalWGs);

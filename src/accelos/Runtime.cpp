@@ -257,14 +257,8 @@ double Runtime::now() const {
 }
 
 const SchedulerStats &Runtime::schedulerStats() const {
-  switch (Opts.Mode) {
-  case RuntimeOptions::Admission::RoundSync:
-    return RoundSched.stats();
-  case RuntimeOptions::Admission::Stride:
+  if (Opts.Mode == RuntimeOptions::Admission::Stride)
     return StrideSched.stats();
-  case RuntimeOptions::Admission::Continuous:
-    break;
-  }
   return ContSched.stats();
 }
 
@@ -314,8 +308,7 @@ Error Runtime::runFunctionalLocked(RequestState &R, uint64_t GrantWGs) {
 }
 
 Runtime::GrantOutcome Runtime::buildGrantLocked(uint64_t Id, uint64_t WGs,
-                                                double T,
-                                                bool SliceByQuantum) {
+                                                double T) {
   GrantOutcome O;
   if (Opts.RecordGrantHistory)
     GrantLog.push_back({Id, WGs});
@@ -334,8 +327,8 @@ Runtime::GrantOutcome Runtime::buildGrantLocked(uint64_t Id, uint64_t WGs,
       return O;
     }
     // Functional execution happens once, at the first grant, over the
-    // whole virtual range — exactly the legacy flush's execution; the
-    // later slices only refine the timing dimension.
+    // whole virtual range; the later slices only refine the timing
+    // dimension.
     if (Error E = runFunctionalLocked(R, WGs)) {
       std::string Msg = E.message();
       O.Failed = true;
@@ -345,11 +338,8 @@ Runtime::GrantOutcome Runtime::buildGrantLocked(uint64_t Id, uint64_t WGs,
   }
 
   // Timing slice over [Cursor, End) of the virtual range.
-  size_t End = SliceByQuantum
-                   ? quantumSliceEnd(R.WGCosts, R.Cursor, WGs,
-                                     R.Demand.WGThreads, 1.0,
-                                     Opts.SliceQuantum)
-                   : R.WGCosts.size();
+  size_t End = quantumSliceEnd(R.WGCosts, R.Cursor, WGs,
+                               R.Demand.WGThreads, 1.0, Opts.SliceQuantum);
   sim::KernelLaunchDesc L;
   L.Name = R.Exec.KernelName;
   L.AppId = static_cast<int>(Id); // request-id channel through the sim
@@ -396,8 +386,7 @@ bool Runtime::admissionPassLocked(SchedulerT &Sched, double T) {
       Sched, Session, LaunchBuf,
       [&](uint64_t Id,
           uint64_t WGs) -> std::optional<sim::KernelLaunchDesc> {
-        GrantOutcome O = buildGrantLocked(Id, WGs, T,
-                                          /*SliceByQuantum=*/true);
+        GrantOutcome O = buildGrantLocked(Id, WGs, T);
         if (O.Failed) {
           // The failed grant holds an in-flight reservation in the
           // scheduler's books; release it so waiters can take it.
@@ -459,50 +448,9 @@ bool Runtime::contStepLocked(SchedulerT &Sched) {
   return true;
 }
 
-bool Runtime::roundStepLocked() {
-  double T = Session.now();
-  while (!Arrivals.empty() && Arrivals.top().first <= T) {
-    uint64_t Id = Arrivals.top().second;
-    Arrivals.pop();
-    RoundSched.submit(queuedRequestLocked(Id));
-  }
-  if (Session.inFlight() == 0 && RoundSched.pending() != 0) {
-    // Completion barrier: plan the next round. Rounds are planned
-    // back-to-back over whatever is pending at each barrier, so the
-    // nextRound() call sequence — and the grant history — matches the
-    // legacy flushRound loop bit for bit.
-    std::vector<RoundGrant> Grants = RoundSched.nextRound();
-    LaunchBuf.clear();
-    for (const RoundGrant &G : Grants) {
-      GrantOutcome O =
-          buildGrantLocked(G.Id, G.WGs, T, /*SliceByQuantum=*/false);
-      if (O.Launch)
-        LaunchBuf.push_back(std::move(*O.Launch));
-    }
-    if (!LaunchBuf.empty())
-      Session.admitFrom(LaunchBuf);
-    return true;
-  }
-  if (!advanceLocked())
-    return false;
-  for (const sim::KernelExecResult &K : CompletionBuf) {
-    // Round grants launch their whole remaining range in one slice, so
-    // every completion retires its request.
-    recordCompletionLocked(K);
-    finalizeLocked(static_cast<uint64_t>(K.AppId));
-  }
-  return true;
-}
-
 bool Runtime::stepLocked() {
-  switch (Opts.Mode) {
-  case RuntimeOptions::Admission::RoundSync:
-    return roundStepLocked();
-  case RuntimeOptions::Admission::Stride:
+  if (Opts.Mode == RuntimeOptions::Admission::Stride)
     return contStepLocked(StrideSched);
-  case RuntimeOptions::Admission::Continuous:
-    break;
-  }
   return contStepLocked(ContSched);
 }
 

@@ -19,24 +19,20 @@
 /// *functionally* once (at its first grant, through the Virtual NDRange
 /// machinery), while its *timing* is simulated as quantum-bounded
 /// slices admitted, shrunk, and completed against the engine session.
-/// The pump is driven by the waiting side: wait(), drain(), and
-/// flushRound() advance the session until the awaited work retires,
-/// dispatching completion callbacks outside the runtime lock.
+/// The pump is driven by the waiting side: wait() and drain() advance
+/// the session until the awaited work retires, dispatching completion
+/// callbacks outside the runtime lock.
 ///
-/// Three admission disciplines are selectable via RuntimeOptions:
+/// Two admission disciplines are selectable via RuntimeOptions, both
+/// behind the one continuous pump:
 ///
 ///  - Continuous (default): ContinuousScheduler — fair shares re-solved
 ///    at every arrival/completion event over the residual capacity,
 ///    with the incremental fast paths;
 ///  - Stride: StrideScheduler — approximate proportional share without
-///    the solver;
-///  - RoundSync: the legacy RoundScheduler behind the same pump. Rounds
-///    are planned only at completion barriers (session idle), so the
-///    nextRound() call sequence — and with it the grant history — is
-///    bit-identical to the pre-refactor flushRound() loop, which is
-///    regression-tested.
+///    the solver.
 ///
-/// Thread safety: submit()/submitAt()/wait()/drain()/flushRound()/
+/// Thread safety: submit()/submitAt()/wait()/drain()/
 /// status()/done()/now()/onCompletion() may be called from multiple
 /// producer threads; one internal mutex serializes the scheduler,
 /// session, and request tables, and any waiting thread drives the pump.
@@ -110,10 +106,6 @@ private:
 /// Runtime admission configuration, fixed at construction.
 struct RuntimeOptions {
   enum class Admission {
-    /// Legacy round-synchronous admission: rounds planned at completion
-    /// barriers; grant history bit-identical to the pre-refactor
-    /// flushRound() loop.
-    RoundSync,
     /// Event-driven fair-share admission at every arrival/completion
     /// (the default).
     Continuous,
@@ -129,7 +121,7 @@ struct RuntimeOptions {
   /// Timing-slice quantum for continuous/stride admission: an in-flight
   /// grant occupies its share for at most ~this many cycles before the
   /// remainder is requeued and re-solved. <= 0 runs each grant's whole
-  /// remaining range in one slice. Ignored by RoundSync.
+  /// remaining range in one slice.
   double SliceQuantum = 0;
   /// Records every (request, WGs) grant in order — the bit-identity
   /// regression hook; see Runtime::grantHistory().
@@ -225,7 +217,6 @@ public:
                    SchedulingMode Mode = SchedulingMode::Optimized,
                    RuntimeOptions Opts = {})
       : Dev(&Dev), Mode(Mode), Opts(Opts), Memory(Dev),
-        RoundSched(ResourceCaps::fromDevice(Dev.spec())),
         ContSched(ResourceCaps::fromDevice(Dev.spec()), SolverOptions{},
                   SchedulerOptions{Opts.Incremental, Opts.SelfCheck}),
         StrideSched(ResourceCaps::fromDevice(Dev.spec())),
@@ -263,7 +254,7 @@ public:
                                    CompletionCallback Cb = nullptr);
 
   /// Legacy enqueue: submit() discarding the handle — the request's
-  /// result is then reported by the next drain()/flushRound().
+  /// result is then reported by the next drain().
   Error enqueueKernel(int AppId, ocl::Kernel &K,
                       const kir::NDRangeCfg &Range);
 
@@ -295,15 +286,8 @@ public:
   /// Drives the pump until the runtime is idle and \returns every
   /// not-yet-consumed execution in first-grant order. If any request
   /// failed, the first failure's error is returned instead (the
-  /// remaining results are dropped, as the legacy flush did).
-  /// Thread-safe.
+  /// remaining results are dropped). Thread-safe.
   Expected<std::vector<ScheduledExecution>> drain();
-
-  /// Legacy name for drain(): under RuntimeOptions::Admission::RoundSync
-  /// this reproduces the pre-refactor round-by-round flush — same grant
-  /// history, same functional execution — with event-time timestamps in
-  /// place of the old round indices.
-  Expected<std::vector<ScheduledExecution>> flushRound() { return drain(); }
 
   /// Requests submitted and not yet retired. Thread-safe.
   size_t pendingRequests() const;
@@ -370,7 +354,6 @@ private:
 
   /// One pump step; \returns false when the runtime is idle.
   bool stepLocked();
-  bool roundStepLocked();
   template <AdmissionScheduler SchedulerT>
   bool contStepLocked(SchedulerT &Sched);
   template <AdmissionScheduler SchedulerT>
@@ -382,8 +365,7 @@ private:
   /// Processes one grant: on the first grant runs the kernel
   /// functionally through the Virtual NDRange machinery, then builds
   /// the quantum-bounded timing slice.
-  GrantOutcome buildGrantLocked(uint64_t Id, uint64_t WGs, double T,
-                                bool SliceByQuantum);
+  GrantOutcome buildGrantLocked(uint64_t Id, uint64_t WGs, double T);
   Error runFunctionalLocked(RequestState &R, uint64_t GrantWGs);
 
   /// Advances the session to the earlier of its next event and the next
@@ -407,7 +389,6 @@ private:
   std::map<const passes::TransformedKernelInfo *, double> PerItemOf;
 
   mutable std::mutex Mu;
-  RoundScheduler RoundSched;
   ContinuousScheduler ContSched;
   StrideScheduler StrideSched;
   sim::EngineSession Session;
@@ -416,7 +397,7 @@ private:
   std::map<uint64_t, FinishedRecord> Finished;
   std::vector<uint8_t> StatusOf; ///< RequestStatus by request id.
   /// Retired-but-unconsumed ids in first-grant order — drain()'s report
-  /// order, matching the legacy flush's round-major grant order.
+  /// order.
   std::vector<uint64_t> ReportQueue;
   /// Scripted arrivals not yet fed to the scheduler: (time, id)
   /// min-heap, id-ordered within one instant.

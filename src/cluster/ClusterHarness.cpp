@@ -18,7 +18,7 @@
 
 using namespace accel;
 using namespace accel::harness;
-using detail::ClosedLoopDriver;
+using detail::ArrivalSource;
 using detail::LiveRequest;
 using detail::ReplayState;
 
@@ -97,9 +97,9 @@ template <accelos::AdmissionScheduler SchedulerT> class ClusterReplay {
 
 public:
   ClusterReplay(std::span<const ReplayDevice> Members,
-                cluster::PlacementPolicy &Policy, const ClusterOptions &Opts,
-                ClusterOutcome &Out)
-      : RS(*Members[0].Driver, Opts.Stream, Opts.Mode, Out.Stream),
+                cluster::PlacementPolicy &Policy, ArrivalSource &Source,
+                const ClusterOptions &Opts, ClusterOutcome &Out)
+      : RS(Opts.Stream, Opts.Mode, Out.Stream), Source(Source),
         Members(Members), Policy(Policy), Opts(Opts), Out(Out) {
     assert(!Members.empty() && "cluster replay over an empty fleet");
     Plan = Opts.FleetPlan;
@@ -145,7 +145,7 @@ public:
   }
 
   ReplayState RS;
-  ClosedLoopDriver *Loop = nullptr; ///< Set for closed-loop replays.
+  ArrivalSource &Source;
   size_t Completed = 0;
 
   bool anyAlive() const {
@@ -181,42 +181,25 @@ public:
     }
   }
 
-  /// One open-loop arrival: place it, or park/lose it when the whole
-  /// fleet is out of service.
-  void arriveOpen(const workloads::TimedRequest &R, double T) {
+  /// The source's next arrival: place it, or park/lose it when the
+  /// whole fleet is out of service.
+  void arrive(double T) {
+    const workloads::TimedRequest R = Source.next();
     if (anyAlive()) {
       size_t D = decide(R.Tenant, R.KernelIdx, R.ArrivalTime);
-      size_t Idx = RS.append(R, driver(D));
+      size_t Idx = Source.pop(RS, driver(D));
       registerRequest(Idx);
       commit(Idx, D);
       return;
     }
     // Materialized against device 0's view only so the request has a
     // shape; rehome() rebinds it before it ever executes.
-    size_t Idx = RS.append(R, driver(0));
+    size_t Idx = Source.pop(RS, driver(0));
     registerRequest(Idx);
     if (pendingUp())
       Parked.push_back(Idx);
     else
       lose(Idx, std::max(T, R.ArrivalTime));
-  }
-
-  /// One closed-loop issue reaching its arrival instant.
-  void arriveClosed(ClosedLoopDriver &L, double T) {
-    detail::IssuedRequest R = L.pop();
-    if (anyAlive()) {
-      size_t D = decide(L.tenantOf(R), R.KernelIdx, R.Time);
-      size_t Idx = L.materializeOn(RS, R, driver(D));
-      registerRequest(Idx);
-      commit(Idx, D);
-      return;
-    }
-    size_t Idx = L.materializeOn(RS, R, driver(0));
-    registerRequest(Idx);
-    if (pendingUp())
-      Parked.push_back(Idx);
-    else
-      lose(Idx, std::max(T, R.Time));
   }
 
   /// Runs the pending admission passes of every in-service device, in
@@ -597,8 +580,7 @@ private:
     RS.completeZeroWork(Idx, At);
     detachFault(Idx, At);
     ++Completed;
-    if (Loop)
-      Loop->issue(Loop->tenantPos(Idx), At);
+    Source.complete(Idx, At);
   }
 
   /// Retires a zero-work request at the admission boundary. The SLO
@@ -610,8 +592,7 @@ private:
     FinishedFlag[Idx] = true;
     detachFault(Idx, T);
     ++Completed;
-    if (Loop)
-      Loop->issue(Loop->tenantPos(Idx), T);
+    Source.complete(Idx, T);
   }
 
   /// Common full-completion bookkeeping: the SLO controller observes
@@ -634,8 +615,7 @@ private:
     if (Ctl)
       Ctl->observe(RS.Trace[Idx].Tenant,
                    Out.Stream.Requests[Idx].queueingExcess());
-    if (Loop)
-      Loop->issue(Loop->tenantPos(Idx), At);
+    Source.complete(Idx, At);
   }
 
   std::span<const ReplayDevice> Members;
@@ -669,43 +649,27 @@ private:
 };
 
 /// Drives the merged clock over \p Members until every request of
-/// \p Workload has finished or been lost.
+/// \p Source has finished or been lost.
 template <accelos::AdmissionScheduler SchedulerT>
 void replay(std::span<const ReplayDevice> Members,
-            cluster::PlacementPolicy &Policy, const ClusterWorkload &Workload,
-            const ClusterOptions &Opts, size_t Total, ClusterOutcome &Out) {
-  ClusterReplay<SchedulerT> CR(Members, Policy, Opts, Out);
-  const std::vector<workloads::TimedRequest> *Trace = Workload.Trace;
-  std::optional<ClosedLoopDriver> Loop;
-  if (Workload.Script) {
-    Loop.emplace(*Workload.Script);
-    CR.Loop = &*Loop;
-  }
-  size_t NextArrival = 0;
+            cluster::PlacementPolicy &Policy, ArrivalSource &Source,
+            const ClusterOptions &Opts, ClusterOutcome &Out) {
+  ClusterReplay<SchedulerT> CR(Members, Policy, Source, Opts, Out);
+  const size_t Total = Source.total();
   double Now = 0;
 
   while (CR.Completed != Total) {
     double T = Now;
     CR.applyPlan(T);
-    if (Trace) {
-      while (NextArrival != Trace->size() &&
-             (*Trace)[NextArrival].ArrivalTime <= T)
-        CR.arriveOpen((*Trace)[NextArrival++], T);
-    } else {
-      while (!Loop->empty() && Loop->nextTime() <= T)
-        CR.arriveClosed(*Loop, T);
-    }
+    while (!Source.empty() && Source.nextTime() <= T)
+      CR.arrive(T);
     if (CR.Completed == Total)
       break; // The last arrivals were all lost at this instant.
 
     CR.admitAll(T);
 
     double NextEvent = CR.nextFleetEvent();
-    double NextInput =
-        Trace ? (NextArrival != Trace->size()
-                     ? (*Trace)[NextArrival].ArrivalTime
-                     : -1)
-              : (Loop->empty() ? -1 : Loop->nextTime());
+    double NextInput = Source.empty() ? -1 : Source.nextTime();
     double NextPlan = CR.nextPlanTime();
     double Target = NextEvent;
     if (Target < 0 || (NextInput >= 0 && NextInput < Target))
@@ -717,8 +681,7 @@ void replay(std::span<const ReplayDevice> Members,
     Now = std::max(Target, T);
   }
 
-  assert((!Workload.Script || CR.RS.Trace.size() == Total) &&
-         "script not fully replayed");
+  assert(CR.RS.Trace.size() == Total && "workload not fully replayed");
   CR.finalize();
 }
 
@@ -728,13 +691,10 @@ ClusterOutcome harness::runClusterReplay(std::span<const ReplayDevice> Devices,
                                          cluster::PlacementPolicy &Policy,
                                          const ClusterWorkload &Workload,
                                          const ClusterOptions &Opts) {
-  assert((Workload.Trace != nullptr) != (Workload.Script != nullptr) &&
-         "workload must be exactly one of open-loop or closed-loop");
   ClusterOutcome Out;
   Out.Stream.FinalWeights = Opts.Stream.Weights;
-  const size_t Total = Workload.Trace ? Workload.Trace->size()
-                                      : Workload.Script->totalRequests();
-  if (Total == 0 || Devices.empty()) {
+  ArrivalSource Source(Workload);
+  if (Source.total() == 0 || Devices.empty()) {
     // Every device still reports, just idle: consumers may index the
     // per-device results by fleet position unconditionally.
     Out.Devices.resize(Devices.size());
@@ -743,11 +703,9 @@ ClusterOutcome harness::runClusterReplay(std::span<const ReplayDevice> Devices,
     return Out;
   }
   if (Opts.Stream.Admission == StreamOptions::AdmissionMode::Stride)
-    replay<accelos::StrideScheduler>(Devices, Policy, Workload, Opts, Total,
-                                     Out);
+    replay<accelos::StrideScheduler>(Devices, Policy, Source, Opts, Out);
   else
-    replay<accelos::ContinuousScheduler>(Devices, Policy, Workload, Opts,
-                                         Total, Out);
+    replay<accelos::ContinuousScheduler>(Devices, Policy, Source, Opts, Out);
   return Out;
 }
 

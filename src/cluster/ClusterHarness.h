@@ -27,9 +27,9 @@
 /// session advances to the earliest next event anywhere in the fleet
 /// (or the next arrival / scripted fleet event, whichever is first).
 /// This is the only accelOS continuous loop in the library: the
-/// single-device entry points (harness::runStream's Continuous and
-/// Stride modes, harness::runClosedLoop's accelOS path) run it on a
-/// one-device view, pinned by tests/golden/single_device.golden.
+/// single-device entry points (the Continuous and Stride modes of
+/// harness::runStream and runClosedLoop) run it on a one-device view,
+/// pinned by tests/golden/single_device.golden.
 ///
 /// One entry point serves both workload shapes: runClusterReplay takes
 /// a ClusterWorkload (an open-loop timed trace OR a closed-loop
@@ -190,9 +190,9 @@ struct MigrationOptions {
 /// Cluster replay knobs: the single-device streaming options (weights,
 /// quantum, SLO targets/adaptation, strict shares, issue-capacity
 /// clamp) apply per device. Stream.Admission selects each device's
-/// scheduler: Stride runs accelos::StrideScheduler, anything else
-/// (Continuous, and RoundSync, which the cluster has no loop for) runs
-/// accelos::ContinuousScheduler.
+/// scheduler: Stride runs accelos::StrideScheduler, Continuous (the
+/// default) accelos::ContinuousScheduler. The cluster has no
+/// round-barrier loop, so RoundSync runs ContinuousScheduler too.
 struct ClusterOptions {
   StreamOptions Stream;
   /// accelOS batching mode of the per-device work-queue launches.

@@ -6,19 +6,19 @@
 ///
 /// \file
 /// The request-level machinery behind the serving loops, shared by the
-/// single-device FIFO / Elastic Kernels / round-synchronous replays
-/// (harness::runStream / runClosedLoop) and the continuous replay core
+/// single-device FIFO and round-barrier replays (harness::runStream /
+/// runClosedLoop) and the continuous replay core
 /// (harness::runClusterReplay, which also serves the single-device
-/// accelOS continuous and stride modes): per-request slice progress,
-/// the demand/launch builders handed to the schedulers, and the
-/// closed-loop issue heap. Internal to the library — everything lives
-/// in harness::detail and the types leak no ABI promises.
+/// accelOS continuous and stride modes): the arrival source every loop
+/// pops its workload from, per-request slice progress, and the
+/// demand/launch builders handed to the schedulers. Internal to the
+/// library — everything lives in harness::detail and the types leak no
+/// ABI promises.
 ///
-/// Every materialized request may carry its *own* ExperimentDriver (the
+/// Every materialized request carries its *own* ExperimentDriver (the
 /// compiled view of the device it was placed on), so demands, slice
 /// launches, and isolated baselines all come from the device that
-/// actually serves the request. Single-device callers never pass a
-/// driver.
+/// actually serves the request.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +28,7 @@
 #include "accelos/AdmissionLoop.h"
 #include "accelos/ResourceSolver.h"
 #include "accelos/Scheduler.h"
+#include "cluster/ClusterHarness.h"
 #include "harness/Streaming.h"
 
 #include <algorithm>
@@ -51,17 +52,16 @@ struct LiveRequest {
   double End = 0;
 };
 
-/// The request-level machinery shared by the open-loop replay
-/// (runStream), the closed-loop tenant loop (runClosedLoop), and the
-/// cluster replay (runClusterReplay): the materialized request list,
-/// per-request slice progress, and the demand/launch builders handed to
-/// the schedulers. Trace may keep growing during a closed-loop run;
-/// every accessor indexes it afresh.
+/// The request-level machinery shared by every replay loop: the
+/// materialized request list, per-request slice progress, and the
+/// demand/launch builders handed to the schedulers. Trace grows as the
+/// ArrivalSource materializes requests; every accessor indexes it
+/// afresh.
 class ReplayState {
 public:
-  ReplayState(ExperimentDriver &Driver, const StreamOptions &Opts,
-              accelos::SchedulingMode Mode, StreamOutcome &Out)
-      : Driver(Driver), Opts(Opts), Mode(Mode), Out(Out) {}
+  ReplayState(const StreamOptions &Opts, accelos::SchedulingMode Mode,
+              StreamOutcome &Out)
+      : Opts(Opts), Mode(Mode), Out(Out) {}
 
   std::vector<workloads::TimedRequest> Trace;
   std::vector<LiveRequest> Live;
@@ -86,15 +86,9 @@ public:
     return It == Opts.Weights.end() ? 1.0 : It->second;
   }
 
-  /// Appends one materialized request; \returns its global index. The
-  /// request is served by the default driver's device.
-  size_t append(const workloads::TimedRequest &R) {
-    return append(R, Driver);
-  }
-
   /// Appends one materialized request placed on \p D's device: demand,
   /// slice launches, and the isolated baseline all come from \p D. The
-  /// driver must outlive the replay.
+  /// driver must outlive the replay. \returns its global index.
   size_t append(const workloads::TimedRequest &R, ExperimentDriver &D) {
     size_t Idx = Trace.size();
     Trace.push_back(R);
@@ -253,7 +247,6 @@ public:
   }
 
 private:
-  ExperimentDriver &Driver;
   const StreamOptions &Opts;
   accelos::SchedulingMode Mode;
   StreamOutcome &Out;
@@ -313,94 +306,104 @@ inline accelos::SchedulingMode modeFor(SchedulerKind Kind) {
              : accelos::SchedulingMode::Optimized;
 }
 
-/// A scripted request whose arrival instant has been decided (issue
-/// time + think time) but which has not been materialized yet. Seq
-/// breaks arrival-time ties deterministically in issue order.
-struct IssuedRequest {
-  double Time = 0;
-  uint64_t Seq = 0;
-  size_t TenantPos = 0; ///< Index into the script's tenant list.
-  size_t KernelIdx = 0;
-
-  bool operator>(const IssuedRequest &O) const {
-    return Time != O.Time ? Time > O.Time : Seq > O.Seq;
-  }
-};
-
-/// Drives the reactive half of a closed-loop run: per-tenant script
-/// cursors and the min-heap of issued-but-not-yet-arrived requests.
-class ClosedLoopDriver {
+/// The arrival stream of one replay, built from its ClusterWorkload:
+/// an open-loop trace popped in trace order, or a closed-loop script's
+/// issue heap, where each completion issues its tenant's next scripted
+/// request after a think time (backpressure). The workload shape is a
+/// branch per arrival or completion, not a virtual call, so every
+/// replay loop serves both shapes through this one source.
+class ArrivalSource {
 public:
-  explicit ClosedLoopDriver(const workloads::ClosedLoopScript &Script)
-      : Script(Script), Cursor(Script.Tenants.size(), 0) {
+  explicit ArrivalSource(const ClusterWorkload &W)
+      : Trace(W.Trace), Script(W.Script) {
+    assert((Trace != nullptr) != (Script != nullptr) &&
+           "workload must be exactly one of open-loop or closed-loop");
+    if (!Script)
+      return;
+    Cursor.assign(Script->Tenants.size(), 0);
     // Each tenant opens with its first Concurrency scripted requests,
     // issued from time 0 (their think times stagger the arrivals).
-    for (size_t TP = 0; TP != Script.Tenants.size(); ++TP)
-      for (size_t S = 0; S != Script.Tenants[TP].Concurrency; ++S)
+    for (size_t TP = 0; TP != Script->Tenants.size(); ++TP)
+      for (size_t S = 0; S != Script->Tenants[TP].Concurrency; ++S)
         issue(TP, 0);
   }
 
-  /// Issues tenant \p TP's next scripted request \p From a completion
-  /// instant (backpressure: called once per completed request).
-  void issue(size_t TP, double From) {
-    size_t &C = Cursor[TP];
-    if (C == Script.Sequences[TP].size())
-      return; // Script exhausted: the tenant's population drains.
-    const workloads::ScriptedRequest &SR = Script.Sequences[TP][C++];
-    Heap.push({From + SR.ThinkTime, NextSeq++, TP, SR.KernelIdx});
+  /// No request is waiting to arrive (a closed loop may still issue
+  /// more on later completions).
+  bool empty() const { return Trace ? Next == Trace->size() : Heap.empty(); }
+
+  /// Arrival time of the earliest waiting request; requires !empty().
+  double nextTime() const {
+    return Trace ? (*Trace)[Next].ArrivalTime : Heap.top().Time;
   }
 
-  bool empty() const { return Heap.empty(); }
-  double nextTime() const { return Heap.top().Time; }
-
-  /// Pops the earliest issued request and materializes it in \p RS on
-  /// the default driver's device. \returns the new request's index.
-  size_t materialize(ReplayState &RS) {
-    IssuedRequest R = pop();
-    size_t Idx = RS.append(timed(R));
-    TenantPosOf.push_back(R.TenantPos);
-    return Idx;
+  /// Requests the whole replay materializes.
+  size_t total() const {
+    return Trace ? Trace->size() : Script->totalRequests();
   }
 
-  /// Cluster form: pops the earliest issued request *without*
-  /// materializing it, so the caller can pick a device first and then
-  /// commit with materializeOn().
-  IssuedRequest pop() {
-    IssuedRequest R = Heap.top();
-    Heap.pop();
+  /// The earliest waiting request, not yet materialized — what a
+  /// placement decision reads before pop() commits it to a device.
+  workloads::TimedRequest next() const {
+    if (Trace)
+      return (*Trace)[Next];
+    const Issued &I = Heap.top();
+    workloads::TimedRequest R;
+    R.KernelIdx = I.KernelIdx;
+    R.Tenant = Script->Tenants[I.TenantPos].Tenant;
+    R.ArrivalTime = I.Time;
     return R;
   }
 
-  /// Materializes a popped request in \p RS on \p D's device.
-  size_t materializeOn(ReplayState &RS, const IssuedRequest &R,
-                       ExperimentDriver &D) {
-    size_t Idx = RS.append(timed(R), D);
-    TenantPosOf.push_back(R.TenantPos);
-    return Idx;
+  /// Pops the earliest waiting request and materializes it in \p RS on
+  /// \p D's device. \returns the new request's index.
+  size_t pop(ReplayState &RS, ExperimentDriver &D) {
+    if (Trace)
+      return RS.append((*Trace)[Next++], D);
+    workloads::TimedRequest R = next();
+    TenantPosOf.push_back(Heap.top().TenantPos);
+    Heap.pop();
+    return RS.append(R, D);
   }
 
-  /// The tenant id (not the position) behind a popped request.
-  int tenantOf(const IssuedRequest &R) const {
-    return Script.Tenants[R.TenantPos].Tenant;
+  /// Request \p Idx finished (or was lost) at \p T: a closed-loop
+  /// tenant issues its next scripted request from that instant. A no-op
+  /// for an open-loop trace.
+  void complete(size_t Idx, double T) {
+    if (Script)
+      issue(TenantPosOf[Idx], T);
   }
-
-  /// The script position of materialized request \p Idx, for reissuing
-  /// on its completion.
-  size_t tenantPos(size_t Idx) const { return TenantPosOf[Idx]; }
 
 private:
-  workloads::TimedRequest timed(const IssuedRequest &R) const {
-    workloads::TimedRequest Req;
-    Req.KernelIdx = R.KernelIdx;
-    Req.Tenant = Script.Tenants[R.TenantPos].Tenant;
-    Req.ArrivalTime = R.Time;
-    return Req;
+  /// A scripted request whose arrival instant has been decided (issue
+  /// time + think time) but which has not been materialized yet. Seq
+  /// breaks arrival-time ties deterministically in issue order.
+  struct Issued {
+    double Time = 0;
+    uint64_t Seq = 0;
+    size_t TenantPos = 0; ///< Index into the script's tenant list.
+    size_t KernelIdx = 0;
+
+    bool operator>(const Issued &O) const {
+      return Time != O.Time ? Time > O.Time : Seq > O.Seq;
+    }
+  };
+
+  /// Issues tenant \p TP's next scripted request \p From a completion
+  /// instant, unless its script is exhausted (the population drains).
+  void issue(size_t TP, double From) {
+    size_t &C = Cursor[TP];
+    if (C == Script->Sequences[TP].size())
+      return;
+    const workloads::ScriptedRequest &SR = Script->Sequences[TP][C++];
+    Heap.push({From + SR.ThinkTime, NextSeq++, TP, SR.KernelIdx});
   }
 
-  const workloads::ClosedLoopScript &Script;
+  const std::vector<workloads::TimedRequest> *Trace;
+  size_t Next = 0; ///< Open loop: next unarrived trace entry.
+  const workloads::ClosedLoopScript *Script;
   std::vector<size_t> Cursor; ///< Next unissued script entry per tenant.
-  std::priority_queue<IssuedRequest, std::vector<IssuedRequest>,
-                      std::greater<IssuedRequest>>
+  std::priority_queue<Issued, std::vector<Issued>, std::greater<Issued>>
       Heap;
   uint64_t NextSeq = 0;
   std::vector<size_t> TenantPosOf; ///< Parallel to the materialized trace.

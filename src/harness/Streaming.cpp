@@ -15,12 +15,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <memory>
 
 using namespace accel;
 using namespace accel::harness;
-using detail::ClosedLoopDriver;
+using detail::ArrivalSource;
 using detail::LiveRequest;
 using detail::ReplayState;
 using detail::modeFor;
@@ -82,235 +81,178 @@ StreamOutcome replayOneDevice(ExperimentDriver &Driver, SchedulerKind Kind,
   return runClusterReplay({&Device, 1}, *Policy, Workload, COpts).Stream;
 }
 
+/// The standard stack's FIFO hardware queue: every request enters one
+/// persistent engine session the moment it is issued (the session holds
+/// it invisible until its ArrivalTime), and each completion may issue a
+/// closed-loop follow-up. An open-loop trace is issued whole before the
+/// first advance, which is exactly Engine::run's admit-all-then-drain.
+void replayFifo(ExperimentDriver &Driver, ArrivalSource &Source,
+                ReplayState &RS, StreamOutcome &Out) {
+  sim::EngineSession Session(Driver.device());
+  const size_t Total = Source.total();
+  size_t Completed = 0;
+  while (Completed != Total) {
+    while (!Source.empty()) {
+      size_t Idx = Source.pop(RS, Driver);
+      const workloads::TimedRequest &R = RS.Trace[Idx];
+      sim::KernelLaunchDesc L =
+          Driver.baselineDesc(R.KernelIdx, static_cast<int>(Idx));
+      L.ArrivalTime = R.ArrivalTime;
+      RS.LaunchBuf.push_back(std::move(L));
+    }
+    if (!RS.LaunchBuf.empty())
+      Session.admitFrom(RS.LaunchBuf);
+    double Next = Session.nextEventTime();
+    assert(Next >= 0 && "FIFO replay stalled with requests pending");
+    Session.advanceTo(Next, RS.CompletionBuf);
+    for (const sim::KernelExecResult &K : RS.CompletionBuf) {
+      size_t Idx = static_cast<size_t>(K.AppId);
+      Out.Requests[Idx].StartTime = K.StartTime;
+      Out.Requests[Idx].EndTime = K.EndTime;
+      ++Completed;
+      Source.complete(Idx, K.EndTime);
+    }
+  }
+  Out.Rounds = 1;
+}
+
+/// The round-barrier loop: requests arriving while a round executes
+/// wait for its completion boundary, where the next round is planned
+/// over everything pending, and each round runs on a fresh engine.
+/// Elastic Kernels statically merges the pending requests into one
+/// co-dispatched launch; round-synchronous accelOS takes
+/// accelos::RoundScheduler's next round, each grant a quantum-bounded
+/// slice whose unfinished remainder requeues at the boundary.
+void replayRounds(ExperimentDriver &Driver, SchedulerKind Kind,
+                  ArrivalSource &Source, ReplayState &RS,
+                  StreamOutcome &Out) {
+  const sim::DeviceSpec &Spec = Driver.device();
+  const bool IsEk = Kind == SchedulerKind::ElasticKernels;
+  accelos::RoundScheduler Sched(accelos::ResourceCaps::fromDevice(Spec));
+  std::vector<size_t> EkPending;
+  std::vector<size_t> Unfinished;
+  const size_t Total = Source.total();
+  size_t Completed = 0;
+  double T = 0;
+
+  auto Enqueue = [&](size_t Idx) {
+    if (IsEk) {
+      EkPending.push_back(Idx);
+      return;
+    }
+    accelos::RoundRequest R;
+    R.Id = Idx;
+    R.Demand = RS.demandOf(Idx);
+    Sched.submit(R);
+  };
+  auto Retire = [&](size_t Idx) {
+    const LiveRequest &LR = RS.Live[Idx];
+    Out.Requests[Idx].StartTime = LR.Start;
+    Out.Requests[Idx].EndTime = LR.End;
+    ++Completed;
+    Source.complete(Idx, LR.End);
+  };
+
+  while (Completed != Total) {
+    while (!Source.empty() && Source.nextTime() <= T)
+      Enqueue(Source.pop(RS, Driver));
+    if ((IsEk ? EkPending.size() : Sched.pending()) == 0) {
+      // Idle device: jump to the next arrival.
+      assert(!Source.empty() && "round replay stalled with requests pending");
+      T = std::max(T, Source.nextTime());
+      continue;
+    }
+
+    std::vector<sim::KernelLaunchDesc> Launches;
+    if (IsEk) {
+      std::vector<ek::EKKernelDesc> Descs;
+      for (size_t Idx : EkPending)
+        Descs.push_back(Driver.ekDesc(RS.Trace[Idx].KernelIdx,
+                                      static_cast<int>(Idx)));
+      EkPending.clear();
+      Launches = ek::planMergedLaunch(Spec, Descs);
+    } else {
+      for (const accelos::RoundGrant &G : Sched.nextRound()) {
+        size_t Idx = static_cast<size_t>(G.Id);
+        if (RS.remainingGroups(Idx) == 0) {
+          RS.completeZeroWork(Idx, T);
+          Retire(Idx);
+          continue;
+        }
+        Launches.push_back(RS.makeSliceLaunch(Idx, G.WGs, /*Arrival=*/0));
+        if (RS.remainingGroups(Idx) != 0)
+          Unfinished.push_back(Idx);
+      }
+    }
+
+    sim::Engine Engine(Spec);
+    sim::SimResult R = Engine.run(std::move(Launches));
+    for (const sim::KernelExecResult &K : R.Kernels) {
+      LiveRequest &LR = RS.Live[static_cast<size_t>(K.AppId)];
+      if (!LR.Started) {
+        LR.Started = true;
+        LR.Start = K.StartTime + T;
+      }
+      LR.End = K.EndTime + T;
+    }
+    T += R.Makespan;
+    ++Out.Rounds;
+
+    // Completion boundary: finished requests retire, sliced ones
+    // requeue (ahead of this boundary's new arrivals — they are
+    // older), and the next round plans over the new queue.
+    for (const sim::KernelExecResult &K : R.Kernels) {
+      size_t Idx = static_cast<size_t>(K.AppId);
+      if (IsEk || RS.remainingGroups(Idx) == 0)
+        Retire(Idx);
+    }
+    for (size_t Idx : Unfinished)
+      Enqueue(Idx);
+    Unfinished.clear();
+  }
+  if (!IsEk)
+    Out.Deferrals = Sched.stats().Deferrals;
+}
+
+/// The one single-device replay behind runStream and runClosedLoop.
+/// accelOS continuous and stride admission run on the cluster replay
+/// core; FIFO runs the hardware-queue loop; Elastic Kernels and
+/// round-synchronous accelOS run the round-barrier loop.
+StreamOutcome replay(ExperimentDriver &Driver, SchedulerKind Kind,
+                     const ClusterWorkload &Workload,
+                     const StreamOptions &Opts) {
+  const bool IsFifo = Kind == SchedulerKind::Baseline;
+  const bool IsEk = Kind == SchedulerKind::ElasticKernels;
+  if (!IsFifo && !IsEk &&
+      Opts.Admission != StreamOptions::AdmissionMode::RoundSync)
+    return replayOneDevice(Driver, Kind, Workload, Opts);
+
+  StreamOutcome Out;
+  ArrivalSource Source(Workload);
+  ReplayState RS(Opts, modeFor(Kind), Out);
+  if (Source.total() != 0) {
+    if (IsFifo)
+      replayFifo(Driver, Source, RS, Out);
+    else
+      replayRounds(Driver, Kind, Source, RS, Out);
+  }
+  assert(RS.Trace.size() == Source.total() && "workload not fully replayed");
+  RS.finalize();
+  return Out;
+}
+
 } // namespace
 
 StreamOutcome harness::runStream(
     ExperimentDriver &Driver, SchedulerKind Kind,
     const std::vector<workloads::TimedRequest> &Trace,
     const StreamOptions &Opts) {
-  StreamOutcome Out;
-  if (Trace.empty())
-    return Out;
-
-  const bool IsEk = Kind == SchedulerKind::ElasticKernels;
-  const bool IsAccelOS = Kind == SchedulerKind::AccelOSNaive ||
-                         Kind == SchedulerKind::AccelOSOptimized;
-  if (IsAccelOS && Opts.Admission != StreamOptions::AdmissionMode::RoundSync)
-    return replayOneDevice(Driver, Kind, ClusterWorkload::openLoop(Trace),
-                           Opts);
-
-  const sim::DeviceSpec &Spec = Driver.device();
-  ReplayState RS(Driver, Opts, modeFor(Kind), Out);
-  for (const workloads::TimedRequest &R : Trace)
-    RS.append(R);
-
-  if (Kind == SchedulerKind::Baseline) {
-    // The standard stack submits straight into the hardware FIFO: one
-    // engine run where every launch carries its real arrival time.
-    std::vector<sim::KernelLaunchDesc> Launches;
-    for (size_t I = 0; I != Trace.size(); ++I) {
-      sim::KernelLaunchDesc L =
-          Driver.baselineDesc(Trace[I].KernelIdx, static_cast<int>(I));
-      L.ArrivalTime = Trace[I].ArrivalTime;
-      Launches.push_back(std::move(L));
-    }
-    sim::Engine Engine(Spec);
-    sim::SimResult R = Engine.run(std::move(Launches));
-    for (const sim::KernelExecResult &K : R.Kernels) {
-      StreamRequestResult &Req =
-          Out.Requests[static_cast<size_t>(K.AppId)];
-      Req.StartTime = K.StartTime;
-      Req.EndTime = K.EndTime;
-    }
-    Out.Rounds = 1;
-  } else {
-    // Round-synchronous serving loop: requests arriving mid-round wait
-    // for the completion boundary, where the plan sees the grown queue.
-    accelos::RoundScheduler Sched(
-        accelos::ResourceCaps::fromDevice(Spec));
-    std::deque<size_t> EkPending;
-    size_t NextArrival = 0;
-    size_t Completed = 0;
-    double T = 0;
-
-    auto Submit = [&](size_t Idx) {
-      accelos::RoundRequest R;
-      R.Id = Idx;
-      R.Demand = RS.demandOf(Idx);
-      Sched.submit(R);
-    };
-    auto Admit = [&](double Now) {
-      while (NextArrival != Trace.size() &&
-             Trace[NextArrival].ArrivalTime <= Now) {
-        if (IsEk)
-          EkPending.push_back(NextArrival);
-        else
-          Submit(NextArrival);
-        ++NextArrival;
-      }
-    };
-    auto Pending = [&] {
-      return IsEk ? EkPending.size() : Sched.pending();
-    };
-
-    Admit(T);
-    while (Completed != Trace.size()) {
-      if (Pending() == 0) {
-        // Idle device: jump to the next arrival.
-        assert(NextArrival != Trace.size() && "requests lost");
-        T = std::max(T, Trace[NextArrival].ArrivalTime);
-        Admit(T);
-        continue;
-      }
-
-      std::vector<sim::KernelLaunchDesc> Launches;
-      std::vector<size_t> Unfinished;
-      if (IsEk) {
-        std::vector<ek::EKKernelDesc> Descs;
-        for (size_t Idx : EkPending)
-          Descs.push_back(Driver.ekDesc(Trace[Idx].KernelIdx,
-                                        static_cast<int>(Idx)));
-        EkPending.clear();
-        Launches = ek::planMergedLaunch(Spec, Descs);
-      } else {
-        for (const accelos::RoundGrant &G : Sched.nextRound()) {
-          size_t Idx = static_cast<size_t>(G.Id);
-          if (RS.remainingGroups(Idx) == 0) {
-            RS.completeZeroWork(Idx, T);
-            ++Completed;
-            continue;
-          }
-          Launches.push_back(
-              RS.makeSliceLaunch(Idx, G.WGs, /*Arrival=*/0));
-          if (RS.remainingGroups(Idx) != 0)
-            Unfinished.push_back(Idx);
-        }
-      }
-
-      sim::Engine Engine(Spec);
-      sim::SimResult R = Engine.run(std::move(Launches));
-      for (const sim::KernelExecResult &K : R.Kernels) {
-        size_t Idx = static_cast<size_t>(K.AppId);
-        LiveRequest &LR = RS.Live[Idx];
-        if (!LR.Started) {
-          LR.Started = true;
-          LR.Start = K.StartTime + T;
-        }
-        LR.End = K.EndTime + T;
-      }
-      T += R.Makespan;
-      ++Out.Rounds;
-
-      // Completion boundary: finished requests retire, sliced ones
-      // requeue (ahead of this boundary's new arrivals — they are
-      // older), and the next round re-solves over the new queue.
-      for (const sim::KernelExecResult &K : R.Kernels) {
-        size_t Idx = static_cast<size_t>(K.AppId);
-        bool Done = IsEk || RS.remainingGroups(Idx) == 0;
-        if (!Done)
-          continue;
-        Out.Requests[Idx].StartTime = RS.Live[Idx].Start;
-        Out.Requests[Idx].EndTime = RS.Live[Idx].End;
-        ++Completed;
-      }
-      for (size_t Idx : Unfinished)
-        Submit(Idx);
-      Admit(T);
-    }
-    if (!IsEk)
-      Out.Deferrals = Sched.stats().Deferrals;
-  }
-
-  RS.finalize();
-  return Out;
+  return replay(Driver, Kind, ClusterWorkload::openLoop(Trace), Opts);
 }
-
-//===----------------------------------------------------------------------===//
-// Closed-loop tenant replay (the TenantLoop mode)
-//===----------------------------------------------------------------------===//
 
 StreamOutcome harness::runClosedLoop(
     ExperimentDriver &Driver, SchedulerKind Kind,
     const workloads::ClosedLoopScript &Script,
     const StreamOptions &Opts) {
-  if (Kind != SchedulerKind::Baseline &&
-      Kind != SchedulerKind::ElasticKernels)
-    return replayOneDevice(Driver, Kind, ClusterWorkload::closedLoop(Script),
-                           Opts);
-
-  StreamOutcome Out;
-  const size_t Total = Script.totalRequests();
-  Out.FinalWeights = Opts.Weights;
-  if (Total == 0)
-    return Out;
-
-  const sim::DeviceSpec &Spec = Driver.device();
-  ReplayState RS(Driver, Opts, modeFor(Kind), Out);
-  ClosedLoopDriver Loop(Script);
-  size_t Completed = 0;
-
-  if (Kind == SchedulerKind::Baseline) {
-    // FIFO: each issued request is admitted into the hardware queue the
-    // moment the tenant decides it (the session holds it invisible
-    // until its ArrivalTime); completions trigger the next issues.
-    sim::EngineSession Session(Spec);
-    while (Completed != Total) {
-      std::vector<sim::KernelLaunchDesc> Launches;
-      while (!Loop.empty()) {
-        double At = Loop.nextTime();
-        size_t Idx = Loop.materialize(RS);
-        sim::KernelLaunchDesc L = Driver.baselineDesc(
-            RS.Trace[Idx].KernelIdx, static_cast<int>(Idx));
-        L.ArrivalTime = At;
-        Launches.push_back(std::move(L));
-      }
-      if (!Launches.empty())
-        Session.admit(std::move(Launches));
-      double Next = Session.nextEventTime();
-      assert(Next >= 0 && "closed loop stalled with requests pending");
-      for (const sim::KernelExecResult &K : Session.advanceTo(Next)) {
-        size_t Idx = static_cast<size_t>(K.AppId);
-        Out.Requests[Idx].StartTime = K.StartTime;
-        Out.Requests[Idx].EndTime = K.EndTime;
-        ++Completed;
-        Loop.issue(Loop.tenantPos(Idx), K.EndTime);
-      }
-    }
-    Out.Rounds = 1;
-  } else {
-    // EK: requests pending at a round boundary are statically merged
-    // and co-dispatched; completions mid-round issue follow-ups that
-    // wait for the next boundary.
-    std::deque<size_t> Pending;
-    double T = 0;
-    while (Completed != Total) {
-      while (!Loop.empty() && Loop.nextTime() <= T)
-        Pending.push_back(Loop.materialize(RS));
-      if (Pending.empty()) {
-        assert(!Loop.empty() && "closed loop stalled with requests pending");
-        T = std::max(T, Loop.nextTime());
-        continue;
-      }
-      std::vector<ek::EKKernelDesc> Descs;
-      for (size_t Idx : Pending)
-        Descs.push_back(Driver.ekDesc(RS.Trace[Idx].KernelIdx,
-                                      static_cast<int>(Idx)));
-      Pending.clear();
-      sim::Engine Engine(Spec);
-      sim::SimResult R = Engine.run(ek::planMergedLaunch(Spec, Descs));
-      for (const sim::KernelExecResult &K : R.Kernels) {
-        size_t Idx = static_cast<size_t>(K.AppId);
-        Out.Requests[Idx].StartTime = K.StartTime + T;
-        Out.Requests[Idx].EndTime = K.EndTime + T;
-        ++Completed;
-        Loop.issue(Loop.tenantPos(Idx), K.EndTime + T);
-      }
-      T += R.Makespan;
-      ++Out.Rounds;
-    }
-  }
-
-  assert(RS.Trace.size() == Total && "script not fully replayed");
-  RS.finalize();
-  return Out;
+  return replay(Driver, Kind, ClusterWorkload::closedLoop(Script), Opts);
 }

@@ -10,8 +10,9 @@
 /// script (workloads::closedLoopTrace) under the compared schedulers
 /// and reports per-request latencies, fairness, and SLO attainment.
 ///
-///  - Baseline: the standard stack's FIFO hardware queue — one engine
-///    run where every launch carries its real ArrivalTime;
+///  - Baseline: the standard stack's FIFO hardware queue — one
+///    persistent engine session where every launch carries its real
+///    ArrivalTime;
 ///  - Elastic Kernels: at each round boundary the pending requests are
 ///    statically merged and co-dispatched;
 ///  - accelOS: the scheduler re-solves fair shares at every
@@ -22,37 +23,38 @@
 ///    preemption that keeps occupancy short, so a newly arrived kernel
 ///    is never serialized behind a giant one.
 ///
-/// The accelOS path has two admission disciplines
+/// The accelOS path has three admission disciplines
 /// (StreamOptions::Admission):
 ///
-///  - RoundSync: completion-round-synchronous. Requests arriving while
-///    a round executes wait for the next global boundary, where the
-///    share solve sees the grown queue. Kept as the regression
-///    reference — and as the demonstration of the round-boundary
-///    convoy it suffers from.
-///  - Continuous: arrival-aware continuous admission inside ONE
-///    persistent engine session (sim::EngineSession). Fair shares are
-///    re-solved at every arrival/completion event and newly arrived or
-///    requeued sliced kernels immediately fill the residual capacity
-///    left by in-flight grants (accelos::ContinuousScheduler) — no
-///    global barrier, no preemption needed. On an all-zero-arrival
-///    trace with slicing disabled this reproduces the round-sync
-///    schedule bit-for-bit (regression-tested); under streaming
-///    arrivals it cuts queueing delay because a request no longer
-///    waits out the makespan of a round it missed.
+///  - Continuous (the default): arrival-aware continuous admission
+///    inside ONE persistent engine session (sim::EngineSession). Fair
+///    shares are re-solved at every arrival/completion event and newly
+///    arrived or requeued sliced kernels immediately fill the residual
+///    capacity left by in-flight grants (accelos::ContinuousScheduler)
+///    — no global barrier, no preemption needed. On an
+///    all-zero-arrival trace with slicing disabled this reproduces the
+///    round-sync schedule bit-for-bit (regression-tested); under
+///    streaming arrivals it cuts queueing delay because a request no
+///    longer waits out the makespan of a round it missed.
 ///  - Stride: the same event loop with accelos::StrideScheduler's
 ///    pass/stride tenant counters in place of the fair-share solve.
+///  - RoundSync: completion-round-synchronous. Requests arriving while
+///    a round executes wait for the next global boundary, where the
+///    share solve (accelos::RoundScheduler) sees the grown queue. Kept
+///    as the reference continuous admission is measured against — the
+///    round-boundary convoy bench/serve_streaming reports.
 ///
-/// Continuous and Stride run on the cluster replay core
+/// Every discipline runs on one of three loops, whatever the workload
+/// shape: Continuous and Stride on the cluster replay core
 /// (harness::runClusterReplay, cluster/ClusterHarness.h) over a
-/// one-device view of the caller's driver: the library has one accelOS
-/// continuous event loop, and a single device is its N = 1 case.
+/// one-device view of the caller's driver; FIFO on the hardware-queue
+/// loop; Elastic Kernels and RoundSync on the round-barrier loop.
 ///
 /// Beyond the open loop, runClosedLoop() is the *TenantLoop* mode:
 /// arrivals are not a fixed trace but reactions — each tenant keeps at
 /// most its Concurrency requests outstanding and issues the next
 /// scripted request only after a predecessor drains plus a think time
-/// (backpressure). Its accelOS path is the same replay core, and an
+/// (backpressure). It runs the same loops as the open loop, and an
 /// optional SLO layer (StreamOptions::SloTargets + AdaptiveSloWeights)
 /// feeds each tenant's observed p95 queueing delay back into its
 /// fair-share weight through accelos::SloWeightController.
@@ -111,9 +113,9 @@ struct StreamOutcome {
   std::vector<double> Slowdowns;
   double Makespan = 0;   ///< Completion time of the last request.
   double Unfairness = 1; ///< max/min over Slowdowns.
-  /// Scheduling decisions: engine rounds for RoundSync (1 for FIFO),
-  /// admission passes for Continuous and Stride (summed over the
-  /// devices of a cluster replay).
+  /// Scheduling decisions: engine rounds for Elastic Kernels and
+  /// RoundSync (1 for FIFO), admission passes for Continuous and Stride
+  /// (summed over the devices of a cluster replay).
   size_t Rounds = 0;
   uint64_t Deferrals = 0; ///< Scheduler deferrals (accelOS only).
   /// Admission passes that ran a full fair-share solve vs the
@@ -157,7 +159,8 @@ struct StreamOptions {
   enum class AdmissionMode {
     /// Completion-round-synchronous: a global boundary per round.
     RoundSync,
-    /// Event-driven admission into one persistent engine session.
+    /// Event-driven admission into one persistent engine session (the
+    /// default).
     Continuous,
     /// Event-driven admission through accelos::StrideScheduler:
     /// pass/stride tenant counters replace the fair-share solve at
@@ -175,11 +178,10 @@ struct StreamOptions {
   /// virtual-group costs) and requeues the unfinished remainder. Zero
   /// disables slicing — granted kernels run to completion.
   double RoundQuantum = 0;
-  /// Admission discipline for the accelOS path. The closed-loop tenant
-  /// loop has no round-synchronous form (its whole point is reacting to
-  /// individual completions): runClosedLoop runs Stride when asked and
-  /// continuous admission otherwise, as does the cluster replay.
-  AdmissionMode Admission = AdmissionMode::RoundSync;
+  /// Admission discipline for the accelOS path, open or closed loop.
+  /// The cluster replay has no round-barrier loop and runs RoundSync as
+  /// Continuous.
+  AdmissionMode Admission = AdmissionMode::Continuous;
 
   /// Per-tenant SLO: a latency target expressed as a bound on each
   /// request's aggregate queueing time (queueingExcess: latency over
@@ -270,10 +272,10 @@ StreamOutcome runStream(ExperimentDriver &Driver, SchedulerKind Kind,
 /// when a predecessor completes — so the arrival stream emerges from
 /// scheduling decisions instead of being fixed up front, and a slow
 /// scheduler is offered less load (backpressure), exactly like a real
-/// closed-loop serving client. The accelOS path runs arrival-aware
-/// continuous (or, with Admission == Stride, stride) admission on the
-/// cluster replay core; FIFO submits reactively into the hardware queue
-/// and EK merges whatever is pending at each round boundary. With
+/// closed-loop serving client. The accelOS path runs
+/// StreamOptions::Admission on the same loop as runStream; FIFO submits
+/// reactively into the hardware queue and EK merges whatever is
+/// pending at each round boundary. With
 /// AdaptiveSloWeights, completions feed the SloWeightController and
 /// new/requeued submissions pick up the adapted weights. The outcome's
 /// Requests are in arrival order.

@@ -5,13 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The continuous/async Runtime surface: bit-identity of the RoundSync
-/// compat path against a directly driven RoundScheduler (the
-/// pre-refactor flushRound algorithm), bit-identity of the continuous
+/// The continuous/async Runtime surface: bit-identity of the continuous
 /// pump against a hand-rolled ContinuousScheduler + EngineSession
-/// reference loop, the bursty-trace queueing-delay gate (continuous
-/// admission must beat the round barrier on mean AND p95), the
-/// multi-producer submit/wait stress (the TSan target), callback
+/// reference loop, the bursty-trace queueing-delay gate (sliced
+/// continuous admission must beat unsliced admission on mean AND p95),
+/// the multi-producer submit/wait stress (the TSan target), callback
 /// dispatch including re-entrant submission, and event-time semantics
 /// of ScheduledExecution.
 ///
@@ -101,67 +99,6 @@ double p95Of(std::vector<double> V) {
   size_t Idx = static_cast<size_t>(
       std::ceil(0.95 * static_cast<double>(V.size())));
   return V[Idx == 0 ? 0 : Idx - 1];
-}
-
-//===----------------------------------------------------------------------===//
-// Bit-identity: RoundSync compat vs the pre-refactor flush algorithm
-//===----------------------------------------------------------------------===//
-
-TEST(RuntimeBitIdentityTest, RoundSyncGrantHistoryMatchesLegacyLoop) {
-  sim::DeviceSpec Spec = smallSpec();
-  ocl::Device Dev(Spec);
-  RuntimeOptions ROpts;
-  ROpts.Mode = RuntimeOptions::Admission::RoundSync;
-  ROpts.RecordGrantHistory = true;
-  Runtime RT(Dev, SchedulingMode::Optimized, ROpts);
-
-  constexpr int NumApps = 3;
-  constexpr int N = 256;
-  std::vector<TestApp> Apps;
-  for (int I = 0; I != NumApps; ++I)
-    Apps.push_back(makeApp(RT, I + 1, N));
-  kir::NDRangeCfg Range = range1D(N, 128);
-
-  // The pre-refactor flushRound algorithm, driven directly: submit
-  // everything pending, then plan rounds back to back until the queue
-  // drains.
-  RoundScheduler Ref(ResourceCaps::fromDevice(Spec));
-  std::vector<GrantRecord> RefLog;
-  uint64_t NextRefId = 0; // mirrors the Runtime's request-id counter
-  auto refSubmitAll = [&] {
-    for (size_t I = 0; I != Apps.size(); ++I) {
-      KernelCostModel M = cantFail(RT.costModel(*Apps[I].K, Range));
-      RoundRequest RR;
-      RR.Id = NextRefId++;
-      RR.Tenant = static_cast<int>(I) + 1;
-      RR.Demand = M.Demand;
-      Ref.submit(RR);
-    }
-    while (Ref.pending() != 0)
-      for (const RoundGrant &G : Ref.nextRound())
-        RefLog.push_back({G.Id, G.WGs});
-  };
-
-  // Two bursts of the scripted trace: enqueue all three tenants, flush,
-  // repeat — the queue drains and refills.
-  for (int Burst = 0; Burst != 2; ++Burst) {
-    for (TestApp &A : Apps)
-      cantFail(A.Proxy->submitNDRange(*A.K, Range));
-    auto Execs = RT.flushRound();
-    ASSERT_TRUE(static_cast<bool>(Execs)) << Execs.message();
-    EXPECT_EQ(Execs->size(), static_cast<size_t>(NumApps));
-    refSubmitAll();
-  }
-
-  ASSERT_EQ(RT.grantHistory().size(), RefLog.size());
-  for (size_t I = 0; I != RefLog.size(); ++I) {
-    EXPECT_EQ(RT.grantHistory()[I].Id, RefLog[I].Id) << "grant " << I;
-    EXPECT_EQ(RT.grantHistory()[I].WGs, RefLog[I].WGs) << "grant " << I;
-  }
-  // The oversubscribed script really exercised deferral: more rounds
-  // than bursts.
-  EXPECT_EQ(RT.schedulerStats().RoundsPlanned, 4u);
-  EXPECT_EQ(RT.schedulerStats().Deferrals, 2u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -316,10 +253,10 @@ TEST(RuntimeBitIdentityTest, ContinuousGrantHistoryMatchesReferenceLoop) {
 }
 
 //===----------------------------------------------------------------------===//
-// Acceptance gate: continuous admission beats the round barrier
+// Acceptance gate: work slicing beats run-to-completion grants
 //===----------------------------------------------------------------------===//
 
-TEST(RuntimeQueueingTest, BurstyTraceContinuousBeatsRoundSync) {
+TEST(RuntimeQueueingTest, BurstyTraceSlicedBeatsUnsliced) {
   constexpr int HeavyN = 64 * 4096; // 4096 work groups: many waves.
   constexpr int LightN = 64 * 4;    // 4 work groups: one wave.
   const int Local = 64;
@@ -367,20 +304,22 @@ TEST(RuntimeQueueingTest, BurstyTraceContinuousBeatsRoundSync) {
     return Delays;
   };
 
-  RuntimeOptions RoundOpts;
-  RoundOpts.Mode = RuntimeOptions::Admission::RoundSync;
-  std::vector<double> RoundDelays = runScript(RoundOpts);
+  RuntimeOptions WholeOpts; // Continuous default, no slicing.
+  WholeOpts.SliceQuantum = 0;
+  std::vector<double> WholeDelays = runScript(WholeOpts);
 
-  RuntimeOptions ContOpts; // Continuous default.
-  ContOpts.SliceQuantum = HeavyDur / 16;
-  std::vector<double> ContDelays = runScript(ContOpts);
+  RuntimeOptions SlicedOpts;
+  SlicedOpts.SliceQuantum = HeavyDur / 16;
+  std::vector<double> SlicedDelays = runScript(SlicedOpts);
 
-  ASSERT_EQ(RoundDelays.size(), Script.size());
-  ASSERT_EQ(ContDelays.size(), Script.size());
-  // The gate: event-driven admission strictly beats the round barrier
-  // on both mean and tail queueing delay for this bursty trace.
-  EXPECT_LT(meanOf(ContDelays), meanOf(RoundDelays));
-  EXPECT_LT(p95Of(ContDelays), p95Of(RoundDelays));
+  ASSERT_EQ(WholeDelays.size(), Script.size());
+  ASSERT_EQ(SlicedDelays.size(), Script.size());
+  // The gate: quantum slicing strictly beats run-to-completion grants
+  // on both mean and tail queueing delay for this bursty trace — the
+  // heavy request hands its share back every quantum instead of
+  // holding it for its whole run.
+  EXPECT_LT(meanOf(SlicedDelays), meanOf(WholeDelays));
+  EXPECT_LT(p95Of(SlicedDelays), p95Of(WholeDelays));
 }
 
 //===----------------------------------------------------------------------===//

@@ -27,6 +27,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <utility>
 
 using namespace accel;
 using namespace accel::harness;
@@ -93,6 +94,7 @@ TEST_F(StreamingTest, AllZeroArrivalsReproduceRoundSyncSchedule) {
   }
 
   StreamOptions Round;
+  Round.Admission = StreamOptions::AdmissionMode::RoundSync;
   StreamOptions Cont;
   Cont.Admission = StreamOptions::AdmissionMode::Continuous;
   StreamOutcome A =
@@ -119,6 +121,7 @@ TEST_F(StreamingTest, ContinuousTailLatencyNotWorseThanRoundSync) {
   // latency or queueing delay.
   StreamOptions Round;
   Round.RoundQuantum = 0.25 * meanDur();
+  Round.Admission = StreamOptions::AdmissionMode::RoundSync;
   StreamOptions Cont = Round;
   Cont.Admission = StreamOptions::AdmissionMode::Continuous;
   for (uint64_t Seed : {20260730ull, 7ull}) {
@@ -368,10 +371,15 @@ protected:
 
 TEST_F(ClosedLoopTest, CompletesEveryScriptedRequest) {
   workloads::ClosedLoopScript Script = script();
-  for (SchedulerKind Kind :
-       {SchedulerKind::Baseline, SchedulerKind::ElasticKernels,
-        SchedulerKind::AccelOSOptimized}) {
-    StreamOutcome O = runClosedLoop(driver(), Kind, Script, options());
+  StreamOptions RoundSync = options();
+  RoundSync.Admission = StreamOptions::AdmissionMode::RoundSync;
+  const std::pair<SchedulerKind, StreamOptions> Runs[] = {
+      {SchedulerKind::Baseline, options()},
+      {SchedulerKind::ElasticKernels, options()},
+      {SchedulerKind::AccelOSOptimized, options()},
+      {SchedulerKind::AccelOSOptimized, RoundSync}};
+  for (const auto &[Kind, Opts] : Runs) {
+    StreamOutcome O = runClosedLoop(driver(), Kind, Script, Opts);
     ASSERT_EQ(O.Requests.size(), Script.totalRequests());
     for (const StreamRequestResult &R : O.Requests) {
       EXPECT_GE(R.StartTime, R.ArrivalTime - 1e-9)
@@ -456,13 +464,14 @@ TEST_F(ClosedLoopTest, AdaptiveWeightsReactToMissedSlo) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(ClosedLoopTest, SingleDeviceOutcomesMatchGolden) {
-  // Pins every accelOS single-device event loop byte-for-byte: open-loop
+  // Pins every single-device event loop byte-for-byte: open-loop
   // continuous (optimized and naive batching, with and without the
-  // full-solve reference path), open-loop stride, and the adaptive SLO
-  // closed loop. The fixture was emitted with hexfloat formatting by the
-  // dedicated single-device loops that predate their move onto the
-  // cluster replay core, so every timestamp and counter is compared to
-  // that implementation bit-for-bit.
+  // full-solve reference path), open-loop stride, the adaptive SLO
+  // closed loop, and the FIFO, Elastic Kernels and round-synchronous
+  // baselines open and closed. The fixture was emitted with hexfloat
+  // formatting by the dedicated per-shape loops that predate the shared
+  // ones, so every timestamp and counter is compared to that
+  // implementation bit-for-bit.
   std::string Got;
   char Buf[512];
   auto Add = [&](const char *Fmt, auto... Args) {
@@ -542,6 +551,25 @@ TEST_F(ClosedLoopTest, SingleDeviceOutcomesMatchGolden) {
   Emit("closed-loop-adaptive",
        runClosedLoop(driver(), SchedulerKind::AccelOSOptimized, Script,
                      adaptiveOptions()));
+
+  // The FIFO, Elastic Kernels and round-synchronous accelOS loops on
+  // the same heavy trace and closed-loop script, pinned before those
+  // loops were merged into one FIFO loop and one round-barrier loop.
+  const StreamOptions &Baselines = Weighted;
+  Emit("heavy-fifo",
+       runStream(driver(), SchedulerKind::Baseline, Heavy, Baselines));
+  Emit("heavy-ek", runStream(driver(), SchedulerKind::ElasticKernels, Heavy,
+                             Baselines));
+  StreamOptions RoundSync = Baselines;
+  RoundSync.Admission = StreamOptions::AdmissionMode::RoundSync;
+  Emit("heavy-round-sync", runStream(driver(),
+                                     SchedulerKind::AccelOSOptimized, Heavy,
+                                     RoundSync));
+  Emit("closed-loop-fifo",
+       runClosedLoop(driver(), SchedulerKind::Baseline, Script, options()));
+  Emit("closed-loop-ek", runClosedLoop(driver(),
+                                       SchedulerKind::ElasticKernels, Script,
+                                       options()));
 
   std::ifstream In(std::string(ACCEL_SOURCE_DIR) +
                    "/tests/golden/single_device.golden");
