@@ -47,7 +47,8 @@ int main() {
       L.RegsPerThread = CK.RegsPerThread;
       L.IssueEfficiency = CK.Spec->IssueEfficiency;
       L.Mode = sim::KernelLaunchDesc::ModeKind::WorkQueue;
-      L.VirtualCosts = CK.WGCosts;
+      L.ViewCosts = CK.WGCosts.data();
+      L.ViewEnd = CK.WGCosts.size();
       // Fix the physical work-group count across the sweep (an eighth
       // of the grid) so the comparison isolates the per-dequeue
       // overhead amortization from work starvation.

@@ -52,7 +52,8 @@ int main() {
 
         sim::KernelLaunchDesc AOS = Base;
         AOS.Mode = sim::KernelLaunchDesc::ModeKind::WorkQueue;
-        AOS.VirtualCosts = Costs;
+        AOS.ViewCosts = Costs.data();
+        AOS.ViewEnd = Costs.size();
         AOS.StaticCosts.clear();
         AOS.PhysicalWGs = WGs; // the solver cannot shrink tiny launches
         AOS.Batch = accelos::batchSizeFor(

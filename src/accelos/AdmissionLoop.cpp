@@ -34,3 +34,28 @@ size_t accelos::quantumSliceEnd(const std::vector<double> &WGCosts,
     Cost += WGCosts[Take++];
   return Take;
 }
+
+sim::KernelLaunchDesc
+accelos::sliceLaunch(const KernelDemand &Shape, double IssueEfficiency,
+                     uint64_t InstCount, const std::vector<double> &Costs,
+                     size_t &Cursor, uint64_t GrantWGs, SchedulingMode Mode,
+                     double Quantum) {
+  const size_t End = quantumSliceEnd(Costs, Cursor, GrantWGs,
+                                     Shape.WGThreads, IssueEfficiency,
+                                     Quantum);
+  const uint64_t SliceLen = End - Cursor;
+  sim::KernelLaunchDesc L;
+  L.WGThreads = Shape.WGThreads;
+  L.LocalMemPerWG = Shape.LocalMemPerWG;
+  L.RegsPerThread = Shape.RegsPerThread;
+  L.IssueEfficiency = IssueEfficiency;
+  L.Mode = sim::KernelLaunchDesc::ModeKind::WorkQueue;
+  L.ViewCosts = Costs.data();
+  L.ViewBegin = Cursor;
+  L.ViewEnd = End;
+  L.PhysicalWGs =
+      std::min<uint64_t>(std::max<uint64_t>(GrantWGs, 1), SliceLen);
+  L.Batch = cappedBatchFor(Mode, InstCount, SliceLen, L.PhysicalWGs);
+  Cursor = End;
+  return L;
+}

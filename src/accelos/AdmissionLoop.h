@@ -5,20 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The admission-pass machinery shared by the serving-harness replay
-/// (the cluster replay core behind harness::runStream, runClosedLoop
-/// and runClusterReplay) and the functional Runtime's continuous pump:
-/// quantum-bounded slice sizing and the grant -> slice-launch -> shrink
-/// -> admitFrom pass over a scheduler and a persistent engine session.
-/// Extracted from harness/ReplayDetail when the Runtime moved onto the
-/// continuous stack, so the API layer and the replay harness admit work
-/// through literally the same code.
+/// The admission machinery shared by the serving-harness replays
+/// (harness::runStream, runClosedLoop, runClusterReplay and the paper's
+/// batch experiments) and the functional Runtime's continuous pump:
+/// quantum-bounded slice sizing, the one builder that turns a grant
+/// into a work-queue slice launch, and the grant -> slice-launch ->
+/// shrink -> admitFrom pass over a scheduler and a persistent engine
+/// session. The API layer and the replay harness admit work through
+/// literally the same code.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ACCEL_ACCELOS_ADMISSIONLOOP_H
 #define ACCEL_ACCELOS_ADMISSIONLOOP_H
 
+#include "accelos/AdaptivePolicy.h"
 #include "accelos/Scheduler.h"
 #include "sim/Engine.h"
 
@@ -40,6 +41,22 @@ namespace accelos {
 size_t quantumSliceEnd(const std::vector<double> &WGCosts, size_t Cursor,
                        uint64_t GrantWGs, uint64_t WGThreads,
                        double IssueEfficiency, double Quantum);
+
+/// Builds the next accelOS work-queue slice launch of a kernel whose
+/// virtual groups cost \p Costs, for a grant of \p GrantWGs physical
+/// work groups, and advances \p Cursor past it. The slice decision is
+/// the quantum-bounded slice end (quantumSliceEnd over \p Quantum), a
+/// view window [Cursor, End) borrowing \p Costs (which must outlive the
+/// launch), the physical WGs capped to the slice, and the \p Mode batch
+/// re-capped against the slice, so every granted physical WG can still
+/// dequeue at least one batch. The launch takes its per-WG footprint
+/// from \p Shape (RequestedWGs and Weight unused) and \p
+/// IssueEfficiency; the caller sets its Name, AppId and ArrivalTime.
+sim::KernelLaunchDesc sliceLaunch(const KernelDemand &Shape,
+                                  double IssueEfficiency, uint64_t InstCount,
+                                  const std::vector<double> &Costs,
+                                  size_t &Cursor, uint64_t GrantWGs,
+                                  SchedulingMode Mode, double Quantum);
 
 /// One continuous-admission pass over \p Sched at the current event:
 /// every grant is turned into a slice launch by \p MakeSlice(Id, WGs)

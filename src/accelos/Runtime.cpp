@@ -21,6 +21,7 @@
 #include "passes/RegisterEstimator.h"
 
 #include <algorithm>
+#include <cmath>
 
 using namespace accel;
 using namespace accel::accelos;
@@ -190,6 +191,11 @@ Expected<RequestHandle> Runtime::submit(int AppId, ocl::Kernel &K,
 Expected<RequestHandle> Runtime::submitAt(int AppId, ocl::Kernel &K,
                                           const kir::NDRangeCfg &Range,
                                           double At, CompletionCallback Cb) {
+  // A NaN would break the arrival heap's ordering and never come due;
+  // an infinite arrival would never come due either.
+  if (!std::isfinite(At))
+    return Expected<RequestHandle>(
+        makeError("arrival time " + std::to_string(At) + " is not finite"));
   std::lock_guard<std::mutex> L(Mu);
   double Now = Session.now();
   Expected<uint64_t> Id =
@@ -337,26 +343,13 @@ Runtime::GrantOutcome Runtime::buildGrantLocked(uint64_t Id, uint64_t WGs,
     }
   }
 
-  // Timing slice over [Cursor, End) of the virtual range.
-  size_t End = quantumSliceEnd(R.WGCosts, R.Cursor, WGs,
-                               R.Demand.WGThreads, 1.0, Opts.SliceQuantum);
-  sim::KernelLaunchDesc L;
+  // Timing slice over the next quantum of the virtual range.
+  sim::KernelLaunchDesc L =
+      sliceLaunch(R.Demand, 1.0, R.InstCount, R.WGCosts, R.Cursor, WGs,
+                  Mode, Opts.SliceQuantum);
   L.Name = R.Exec.KernelName;
   L.AppId = static_cast<int>(Id); // request-id channel through the sim
   L.ArrivalTime = T;
-  L.WGThreads = R.Demand.WGThreads;
-  L.LocalMemPerWG = R.Demand.LocalMemPerWG;
-  L.RegsPerThread = R.Demand.RegsPerThread;
-  L.IssueEfficiency = 1.0;
-  L.Mode = sim::KernelLaunchDesc::ModeKind::WorkQueue;
-  L.ViewCosts = R.WGCosts.data();
-  L.ViewBegin = R.Cursor;
-  L.ViewEnd = End;
-  uint64_t SliceLen = End - R.Cursor;
-  L.PhysicalWGs =
-      std::min<uint64_t>(std::max<uint64_t>(WGs, 1), SliceLen);
-  L.Batch = cappedBatchFor(Mode, R.InstCount, SliceLen, L.PhysicalWGs);
-  R.Cursor = End;
   ++R.Exec.Slices;
   O.Launch.emplace(std::move(L));
   return O;

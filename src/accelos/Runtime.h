@@ -113,11 +113,6 @@ struct RuntimeOptions {
     Stride,
   };
   Admission Mode = Admission::Continuous;
-  /// ContinuousScheduler incremental fast paths (bit-identical grants
-  /// either way; see SchedulerOptions::Incremental).
-  bool Incremental = true;
-  /// Debug cross-check of the fast paths (SchedulerOptions::SelfCheck).
-  bool SelfCheck = false;
   /// Timing-slice quantum for continuous/stride admission: an in-flight
   /// grant occupies its share for at most ~this many cycles before the
   /// remainder is requeued and re-solved. <= 0 runs each grant's whole
@@ -217,8 +212,7 @@ public:
                    SchedulingMode Mode = SchedulingMode::Optimized,
                    RuntimeOptions Opts = {})
       : Dev(&Dev), Mode(Mode), Opts(Opts), Memory(Dev),
-        ContSched(ResourceCaps::fromDevice(Dev.spec()), SolverOptions{},
-                  SchedulerOptions{Opts.Incremental, Opts.SelfCheck}),
+        ContSched(ResourceCaps::fromDevice(Dev.spec())),
         StrideSched(ResourceCaps::fromDevice(Dev.spec())),
         Session(Dev.spec()) {}
 
@@ -247,8 +241,9 @@ public:
                                  const kir::NDRangeCfg &Range,
                                  CompletionCallback Cb = nullptr);
 
-  /// submit() with an explicit arrival time (>= now()) — scripted
-  /// arrival traces through the runtime's own admission. Thread-safe.
+  /// submit() with an explicit arrival time — scripted arrival traces
+  /// through the runtime's own admission. A time before now() arrives
+  /// now; a non-finite time is rejected with an error. Thread-safe.
   Expected<RequestHandle> submitAt(int AppId, ocl::Kernel &K,
                                    const kir::NDRangeCfg &Range, double At,
                                    CompletionCallback Cb = nullptr);

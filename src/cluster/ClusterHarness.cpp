@@ -27,21 +27,10 @@ namespace {
 /// Sentinel for "request not attached to any fault".
 constexpr size_t NoFault = static_cast<size_t>(-1);
 
-/// The capacity a device's scheduler shares out: the device caps, with
-/// the thread dimension optionally clamped to a bounded
-/// oversubscription of the issue lanes (StreamOptions::
-/// IssueCapacityFactor) so admission controls the contended resource.
-accelos::ResourceCaps capsFor(const sim::DeviceSpec &Spec,
-                              const StreamOptions &Opts) {
-  accelos::ResourceCaps Caps = accelos::ResourceCaps::fromDevice(Spec);
-  if (Opts.IssueCapacityFactor > 0)
-    Caps.Threads = std::min(
-        Caps.Threads,
-        static_cast<uint64_t>(Opts.IssueCapacityFactor *
-                              static_cast<double>(Spec.NumCUs) *
-                              static_cast<double>(Spec.LanesPerCU)));
-  return Caps;
-}
+/// In StaticPrior mode, how many observations the analysis prior
+/// counts as when blending with measured service spans:
+/// estimate = (Prior * Weight + sum(observed)) / (Weight + count).
+constexpr double PriorObservationWeight = 1.0;
 
 /// The solver options the continuous scheduler runs under:
 /// StreamOptions::StrictShares turns greedy saturation off so admission
@@ -56,13 +45,10 @@ accelos::SolverOptions solverOptsFor(const StreamOptions &Opts) {
 
 /// The scheduler options the continuous scheduler runs under:
 /// FullSolveReference disables the incremental fast paths (every
-/// admission pass runs a full share solve — the measurement baseline),
-/// and SelfCheckIncremental cross-checks every fast pass against a
-/// fresh full solve in debug builds.
+/// admission pass runs a full share solve — the measurement baseline).
 accelos::SchedulerOptions schedOptsFor(const StreamOptions &Opts) {
   accelos::SchedulerOptions SO;
   SO.Incremental = !Opts.FullSolveReference;
-  SO.SelfCheck = Opts.SelfCheckIncremental;
   return SO;
 }
 
@@ -126,10 +112,12 @@ public:
       const sim::DeviceSpec &Spec = driver(D).device();
       Devices[D].Alive = Alive[D];
       Devices[D].Session.emplace(Spec);
+      const accelos::ResourceCaps Caps =
+          accelos::ResourceCaps::fromDevice(Spec);
       if constexpr (std::is_same_v<SchedulerT, accelos::StrideScheduler>)
-        Devices[D].Sched.emplace(capsFor(Spec, Opts.Stream));
+        Devices[D].Sched.emplace(Caps);
       else
-        Devices[D].Sched.emplace(capsFor(Spec, Opts.Stream),
+        Devices[D].Sched.emplace(Caps,
                                  solverOptsFor(Opts.Stream),
                                  schedOptsFor(Opts.Stream));
       Rates[D] = Members[D].ServiceRate;
@@ -540,8 +528,8 @@ private:
       if (It == Observed.end())
         return Prior;
       const SoloObservation &O = It->second;
-      return (Prior * Opts.PriorObservationWeight + O.Sum) /
-             (Opts.PriorObservationWeight + static_cast<double>(O.Count));
+      return (Prior * PriorObservationWeight + O.Sum) /
+             (PriorObservationWeight + static_cast<double>(O.Count));
     }
     }
     accel_unreachable("bad solo estimate kind");

@@ -160,7 +160,7 @@ enum class SoloEstimateKind {
   /// Cold-start prior from the KIR static cost analysis
   /// (harness::ExperimentDriver::priorSoloDuration), blending into the
   /// measured mean service span as completions of the same kernel on
-  /// the same device accumulate.
+  /// the same device accumulate (the prior counts as one observation).
   StaticPrior,
 };
 
@@ -205,10 +205,6 @@ struct ClusterOptions {
   bool StickyTenantAffinity = false;
   /// Source of the solo-duration estimates placement decisions use.
   SoloEstimateKind SoloEstimate = SoloEstimateKind::Oracle;
-  /// In StaticPrior mode, how many observations the analysis prior
-  /// counts as when blending with measured service spans:
-  /// estimate = (Prior * Weight + sum(observed)) / (Weight + count).
-  double PriorObservationWeight = 1.0;
   /// Scripted capacity events (failure injection / elasticity),
   /// applied in time order (ties in plan order) before the arrivals of
   /// the same instant. A device whose FIRST scripted event is Up

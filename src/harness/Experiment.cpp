@@ -6,10 +6,7 @@
 
 #include "harness/Experiment.h"
 
-#include "accelos/AdaptivePolicy.h"
-#include "accelos/ResourceSolver.h"
-#include "accelos/Scheduler.h"
-#include "ek/ElasticKernels.h"
+#include "harness/Streaming.h"
 #include "kir/Module.h"
 #include "kir/RtLayout.h"
 #include "metrics/Metrics.h"
@@ -118,73 +115,30 @@ accelos::KernelDemand ExperimentDriver::demandFor(size_t Idx) const {
   return D;
 }
 
-sim::KernelLaunchDesc
-ExperimentDriver::accelosDesc(size_t Idx, int AppId, uint64_t PhysWGs,
-                              accelos::SchedulingMode Mode) const {
-  const CompiledKernel &CK = Kernels[Idx];
-  sim::KernelLaunchDesc L;
-  L.Name = CK.Spec->Id;
-  L.AppId = AppId;
-  L.WGThreads = CK.Spec->WGSize;
-  L.LocalMemPerWG = CK.LocalMemBytes + kir::rtlayout::schedDescBytes();
-  L.RegsPerThread = CK.RegsPerThread;
-  L.IssueEfficiency = CK.Spec->IssueEfficiency;
-  L.Mode = sim::KernelLaunchDesc::ModeKind::WorkQueue;
-  L.VirtualCosts = CK.WGCosts;
-  L.PhysicalWGs = PhysWGs;
-  L.Batch = accelos::cappedBatchFor(Mode, CK.InstCount, CK.Spec->NumWGs,
-                                    PhysWGs);
-  return L;
+namespace {
+
+/// A paper batch: every kernel of \p W submitted at time zero, entry
+/// \p I as tenant \p I.
+std::vector<workloads::TimedRequest> batchTrace(const workloads::Workload &W) {
+  std::vector<workloads::TimedRequest> Trace(W.size());
+  for (size_t I = 0; I != W.size(); ++I) {
+    Trace[I].KernelIdx = W[I];
+    Trace[I].Tenant = static_cast<int>(I);
+  }
+  return Trace;
 }
 
-std::vector<std::vector<sim::KernelLaunchDesc>>
-ExperimentDriver::buildRounds(SchedulerKind Kind,
-                              const workloads::Workload &W) const {
-  switch (Kind) {
-  case SchedulerKind::Baseline: {
-    std::vector<sim::KernelLaunchDesc> Launches;
-    for (size_t I = 0; I != W.size(); ++I)
-      Launches.push_back(baselineDesc(W[I], static_cast<int>(I)));
-    return {std::move(Launches)};
-  }
-  case SchedulerKind::ElasticKernels: {
-    std::vector<ek::EKKernelDesc> Descs;
-    for (size_t I = 0; I != W.size(); ++I)
-      Descs.push_back(ekDesc(W[I], static_cast<int>(I)));
-    return {ek::planMergedLaunch(Spec, Descs)};
-  }
-  case SchedulerKind::AccelOSNaive:
-  case SchedulerKind::AccelOSOptimized: {
-    accelos::SchedulingMode Mode =
-        Kind == SchedulerKind::AccelOSNaive
-            ? accelos::SchedulingMode::Naive
-            : accelos::SchedulingMode::Optimized;
-
-    // The Kernel Scheduler plans rounds over the K concurrent requests;
-    // clamp-shed requests requeue into later (smaller) rounds instead
-    // of being floored onto a full device.
-    accelos::RoundScheduler Sched(accelos::ResourceCaps::fromDevice(Spec));
-    for (size_t I = 0; I != W.size(); ++I) {
-      accelos::RoundRequest R;
-      R.Id = I;
-      R.Demand = demandFor(W[I]);
-      Sched.submit(R);
-    }
-
-    std::vector<std::vector<sim::KernelLaunchDesc>> Rounds;
-    while (Sched.pending() != 0) {
-      std::vector<sim::KernelLaunchDesc> Launches;
-      for (const accelos::RoundGrant &G : Sched.nextRound())
-        Launches.push_back(accelosDesc(W[G.Id],
-                                       static_cast<int>(G.Id), G.WGs,
-                                       Mode));
-      Rounds.push_back(std::move(Launches));
-    }
-    return Rounds;
-  }
-  }
-  accel_unreachable("bad scheduler kind");
+/// The batch is the zero-arrival case of runStream's round-barrier
+/// replay: shares are re-solved only at each round's completion
+/// boundary, and granted kernels run to completion.
+StreamOptions batchOptions() {
+  StreamOptions Opts;
+  Opts.Admission = StreamOptions::AdmissionMode::RoundSync;
+  Opts.RoundQuantum = 0;
+  return Opts;
 }
+
+} // namespace
 
 double ExperimentDriver::isolatedDuration(SchedulerKind Kind, size_t Idx) {
   auto Key = std::make_pair(static_cast<int>(Kind), Idx);
@@ -192,11 +146,17 @@ double ExperimentDriver::isolatedDuration(SchedulerKind Kind, size_t Idx) {
   if (It != IsolatedCache.end())
     return It->second;
 
-  workloads::Workload Solo = {Idx};
-  sim::Engine Engine(Spec);
-  sim::SimResult R =
-      Engine.run(std::move(buildRounds(Kind, Solo).front()));
-  double D = R.Kernels[0].duration();
+  double D;
+  if (Kind == SchedulerKind::Baseline) {
+    // Every replayed request reads its baseline here, so it is one
+    // direct engine run rather than a replay of its own.
+    sim::Engine Engine(Spec);
+    D = Engine.run({baselineDesc(Idx, 0)}).Kernels[0].duration();
+  } else {
+    StreamOutcome S = runStream(*this, Kind, batchTrace({Idx}),
+                                batchOptions());
+    D = S.Requests[0].EndTime - S.Requests[0].StartTime;
+  }
   IsolatedCache.emplace(Key, D);
   return D;
 }
@@ -219,35 +179,18 @@ double ExperimentDriver::priorSoloDuration(size_t Idx) {
 
 WorkloadOutcome ExperimentDriver::runWorkload(SchedulerKind Kind,
                                               const workloads::Workload &W) {
-  // Rounds run back to back: each begins when the previous one's
-  // kernels have all completed, so per-round engine runs compose by
-  // shifting the later round's times past the earlier makespans.
-  std::vector<sim::KernelExecResult> ByPos(W.size());
-  double T = 0;
-  for (std::vector<sim::KernelLaunchDesc> &Round : buildRounds(Kind, W)) {
-    sim::Engine Engine(Spec);
-    sim::SimResult R = Engine.run(std::move(Round));
-    for (sim::KernelExecResult K : R.Kernels) {
-      K.StartTime += T;
-      K.EndTime += T;
-      ByPos[static_cast<size_t>(K.AppId)] = K;
-    }
-    T += R.Makespan;
-  }
-
+  StreamOutcome S = runStream(*this, Kind, batchTrace(W), batchOptions());
   WorkloadOutcome Out;
-  Out.Makespan = T;
+  // Every request arrives at t=0, so its streaming slowdown is the
+  // turnaround from common submission: queueing delay behind earlier
+  // requests counts against fairness — this is what serializing
+  // schedulers are punished for.
+  Out.Slowdowns = std::move(S.Slowdowns);
+  Out.Unfairness = S.Unfairness;
+  Out.Makespan = S.Makespan;
   std::vector<metrics::Interval> Intervals;
-  for (size_t I = 0; I != W.size(); ++I) {
-    const sim::KernelExecResult &K = ByPos[I];
-    double Alone = isolatedDuration(SchedulerKind::Baseline, W[I]);
-    // T(s) is the turnaround from (common, t=0) submission, so queueing
-    // delay behind earlier requests counts against fairness — this is
-    // what serializing schedulers are punished for.
-    Out.Slowdowns.push_back(metrics::individualSlowdown(K.EndTime, Alone));
-    Intervals.push_back({K.StartTime, K.EndTime});
-  }
-  Out.Unfairness = metrics::systemUnfairness(Out.Slowdowns);
+  for (const StreamRequestResult &R : S.Requests)
+    Intervals.push_back({R.StartTime, R.EndTime});
   Out.Overlap = metrics::executionOverlap(Intervals);
   return Out;
 }

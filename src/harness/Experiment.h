@@ -72,14 +72,22 @@ public:
 
   const sim::DeviceSpec &device() const { return Spec; }
 
-  /// Runs one multi-kernel workload under \p Kind. accelOS workloads
-  /// are simulated round by round: requests the oversubscription clamp
-  /// sheds are deferred to the next scheduling round, which begins when
-  /// the previous round's kernels complete.
+  /// Runs one multi-kernel workload under \p Kind as the paper does: a
+  /// batch where every kernel is submitted at time zero, replayed by
+  /// runStream as an all-zero-arrival trace (entry i is kernel W[i] for
+  /// tenant i) on the round-barrier discipline. The standard stack
+  /// runs its FIFO hardware queue and Elastic Kernels one merged
+  /// launch; accelOS plans rounds through accelos::RoundScheduler,
+  /// deferring the requests the oversubscription clamp sheds to the
+  /// next round, which begins when the previous round's kernels
+  /// complete.
   WorkloadOutcome runWorkload(SchedulerKind Kind,
                               const workloads::Workload &W);
 
-  /// Duration of kernel \p Idx running alone under \p Kind (cached).
+  /// Duration of kernel \p Idx running alone under \p Kind (cached):
+  /// one direct engine launch for the standard stack (every replayed
+  /// request reads it as its isolated baseline), the solo request's
+  /// execution span in a one-kernel runWorkload batch otherwise.
   double isolatedDuration(SchedulerKind Kind, size_t Idx);
 
   /// Predicted solo duration of kernel \p Idx before it has ever run:
@@ -93,12 +101,6 @@ public:
   /// harness's FIFO baseline).
   sim::KernelLaunchDesc baselineDesc(size_t Idx, int AppId) const;
 
-  /// Builds one accelOS WorkQueue launch for \p Idx with the solved
-  /// share \p PhysWGs.
-  sim::KernelLaunchDesc accelosDesc(size_t Idx, int AppId,
-                                    uint64_t PhysWGs,
-                                    accelos::SchedulingMode Mode) const;
-
   /// Builds the Elastic Kernels merge input for suite kernel \p Idx.
   ek::EKKernelDesc ekDesc(size_t Idx, int AppId) const;
 
@@ -107,12 +109,6 @@ public:
   accelos::KernelDemand demandFor(size_t Idx) const;
 
 private:
-  /// One engine run per scheduling round. Baseline and EK submit
-  /// everything in one round; accelOS plans rounds through the
-  /// RoundScheduler (deferred requests land in later rounds).
-  std::vector<std::vector<sim::KernelLaunchDesc>>
-  buildRounds(SchedulerKind Kind, const workloads::Workload &W) const;
-
   sim::DeviceSpec Spec;
   std::vector<CompiledKernel> Kernels;
   std::map<std::pair<int, size_t>, double> IsolatedCache;

@@ -7,13 +7,15 @@
 /// \file
 /// The request-level machinery behind the serving loops, shared by the
 /// single-device FIFO and round-barrier replays (harness::runStream /
-/// runClosedLoop) and the continuous replay core
-/// (harness::runClusterReplay, which also serves the single-device
-/// accelOS continuous and stride modes): the arrival source every loop
-/// pops its workload from, per-request slice progress, and the
-/// demand/launch builders handed to the schedulers. Internal to the
-/// library — everything lives in harness::detail and the types leak no
-/// ABI promises.
+/// runClosedLoop, and through runStream the paper's batch experiments)
+/// and the continuous replay core (harness::runClusterReplay, which
+/// also serves the single-device accelOS continuous and stride modes):
+/// the arrival source every loop pops its workload from, per-request
+/// slice progress, and the demand/slice-launch bookkeeping handed to
+/// the schedulers. Slice launches themselves come from
+/// accelos::sliceLaunch, the builder the functional Runtime uses too.
+/// Internal to the library — everything lives in harness::detail and
+/// the types leak no ABI promises.
 ///
 /// Every materialized request carries its *own* ExperimentDriver (the
 /// compiled view of the device it was placed on), so demands, slice
@@ -138,39 +140,24 @@ public:
   double remainingCost(size_t Idx) const { return RemainingCostOf[Idx]; }
 
   /// Builds one quantum-bounded WorkQueue launch for the granted share
-  /// \p GrantWGs of request \p Idx, advancing its slice cursor.
+  /// \p GrantWGs of request \p Idx (accelos::sliceLaunch over the
+  /// compiled kernel's costs, which the driver keeps alive for the
+  /// replay), advancing its slice cursor and remaining cost.
   sim::KernelLaunchDesc makeSliceLaunch(size_t Idx, uint64_t GrantWGs,
                                         double Arrival) {
     ExperimentDriver &D = driverOf(Idx);
-    const CompiledKernel &CK = D.kernel(Trace[Idx].KernelIdx);
-    LiveRequest &LR = Live[Idx];
-    sim::KernelLaunchDesc L = D.accelosDesc(
-        Trace[Idx].KernelIdx, static_cast<int>(Idx), GrantWGs, Mode);
+    const size_t KernelIdx = Trace[Idx].KernelIdx;
+    const CompiledKernel &CK = D.kernel(KernelIdx);
     // Work slicing: run at most a quantum's worth of the virtual range
     // (paper Sec. 2.4: the virtual work queue is what makes
     // bounded-progress launches possible), requeueing the remainder.
-    size_t End = accelos::quantumSliceEnd(CK.WGCosts, LR.Cursor, GrantWGs,
-                                          CK.Spec->WGSize,
-                                          CK.Spec->IssueEfficiency,
-                                          Opts.RoundQuantum);
-    for (size_t G = LR.Cursor; G != End; ++G)
+    sim::KernelLaunchDesc L = accelos::sliceLaunch(
+        D.demandFor(KernelIdx), CK.Spec->IssueEfficiency, CK.InstCount,
+        CK.WGCosts, Live[Idx].Cursor, GrantWGs, Mode, Opts.RoundQuantum);
+    for (uint64_t G = L.ViewBegin; G != L.ViewEnd; ++G)
       RemainingCostOf[Idx] -= CK.WGCosts[G];
-    // The slice is a *view* into the compiled kernel's cost array (the
-    // driver outlives the replay), not a copy: high-rate replays build
-    // one of these per grant, and the copy was the dominant per-event
-    // allocation.
-    const size_t SliceLen = End - LR.Cursor;
-    L.ViewCosts = CK.WGCosts.data();
-    L.ViewBegin = LR.Cursor;
-    L.ViewEnd = End;
-    LR.Cursor = End;
-    L.PhysicalWGs = std::min<uint64_t>(std::max<uint64_t>(GrantWGs, 1),
-                                       SliceLen);
-    // Re-cap the dequeue batch against the slice, not the full range:
-    // every granted physical WG must still be able to dequeue at least
-    // one batch of this launch's work.
-    L.Batch = accelos::cappedBatchFor(Mode, CK.InstCount, SliceLen,
-                                      L.PhysicalWGs);
+    L.Name = CK.Spec->Id;
+    L.AppId = static_cast<int>(Idx);
     L.ArrivalTime = Arrival;
     return L;
   }

@@ -40,15 +40,19 @@
 ///    pass/stride tenant counters in place of the fair-share solve.
 ///  - RoundSync: completion-round-synchronous. Requests arriving while
 ///    a round executes wait for the next global boundary, where the
-///    share solve (accelos::RoundScheduler) sees the grown queue. Kept
-///    as the reference continuous admission is measured against — the
-///    round-boundary convoy bench/serve_streaming reports.
+///    share solve (accelos::RoundScheduler) sees the grown queue. It is
+///    the reference continuous admission is measured against — the
+///    round-boundary convoy bench/serve_streaming reports — and, on an
+///    all-zero-arrival trace with slicing off, the paper's batch
+///    experiments (ExperimentDriver::runWorkload).
 ///
 /// Every discipline runs on one of three loops, whatever the workload
 /// shape: Continuous and Stride on the cluster replay core
 /// (harness::runClusterReplay, cluster/ClusterHarness.h) over a
 /// one-device view of the caller's driver; FIFO on the hardware-queue
-/// loop; Elastic Kernels and RoundSync on the round-barrier loop.
+/// loop; Elastic Kernels and RoundSync on the round-barrier loop. The
+/// paper's batches (every kernel submitted at time zero) are the
+/// zero-arrival case of the FIFO and round-barrier loops.
 ///
 /// Beyond the open loop, runClosedLoop() is the *TenantLoop* mode:
 /// arrivals are not a fixed trace but reactions — each tenant keeps at
@@ -202,18 +206,6 @@ struct StreamOptions {
   double SloControlInterval = 0;
   /// Controller tuning (bounds, factors, hysteresis).
   accelos::SloControllerOptions SloTuning;
-  /// Issue-aware admission (continuous accelOS only; 0 disables, the
-  /// bit-identical default). A device's resident-thread capacity is an
-  /// *occupancy* bound, many times its issue bandwidth (lanes): sharing
-  /// out raw thread slots lets every tenant become fully resident, at
-  /// which point the compute units' weight-blind processor sharing —
-  /// not the solver — decides service rates and fair-share weights stop
-  /// binding. When positive, the scheduler's thread capacity is clamped
-  /// to Factor x (NumCUs x LanesPerCU), so admission shares out (a
-  /// bounded oversubscription of) the bandwidth that is actually
-  /// contended; weighted shares then translate into service rates.
-  /// Factor ~2 keeps the lanes saturated while queueing the excess.
-  double IssueCapacityFactor = 0;
   /// Strict weighted entitlements (continuous accelOS only; off is the
   /// bit-identical default). The work-conserving discipline grants
   /// every request min(saturated share, residual fit) — which is
@@ -235,10 +227,6 @@ struct StreamOptions {
   /// exactness-preserving); what changes is the events/sec
   /// bench/serve_scale measures.
   bool FullSolveReference = false;
-  /// Debug-build cross-check (continuous accelOS only): every
-  /// incremental fast pass re-runs the full solve and asserts the
-  /// shares are bit-identical. No effect in release builds.
-  bool SelfCheckIncremental = false;
 };
 
 /// Degenerate-latency threshold, as a fraction of the request's

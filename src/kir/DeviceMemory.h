@@ -19,8 +19,9 @@
 #include "support/Error.h"
 
 #include <cstdint>
+#include <cstdlib>
 #include <map>
-#include <vector>
+#include <memory>
 
 namespace accel {
 namespace kir {
@@ -28,7 +29,8 @@ namespace kir {
 /// Simulated global memory of one accelerator.
 class DeviceMemory {
 public:
-  /// Creates a memory of \p CapacityBytes bytes.
+  /// Creates a zeroed memory of \p CapacityBytes bytes, backed lazily:
+  /// untouched pages cost no resident memory.
   explicit DeviceMemory(uint64_t CapacityBytes);
 
   /// Allocates \p Size bytes (8-byte aligned). \returns the device
@@ -73,9 +75,16 @@ public:
   void copyOut(uint64_t Addr, void *Dst, uint64_t Size) const;
 
 private:
+  struct FreeStorage {
+    void operator()(uint8_t *P) const { std::free(P); }
+  };
+
   uint64_t Capacity;
   uint64_t Used = 0;
-  std::vector<uint8_t> Storage;
+  /// One calloc'd block of Capacity bytes. The OS zero-fills its pages
+  /// on first touch, so a device costs resident memory only for the
+  /// pages its allocations actually use.
+  std::unique_ptr<uint8_t[], FreeStorage> Storage;
   // Live allocations: address -> size.
   std::map<uint64_t, uint64_t> Allocations;
   // Free regions: address -> size (coalesced).

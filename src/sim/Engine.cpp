@@ -363,13 +363,8 @@ private:
       ++FinishedCount;
       Completed.push_back(resultFor(L));
       // A persistent session keeps finished LaunchStates for history();
-      // the drained virtual queue is the one part nothing reads again,
-      // and per-group cost vectors dominate a long session's footprint.
-      // (StaticCosts must stay: numPhysicalWGs() is its size.)
-      L.Desc.VirtualCosts.clear();
-      L.Desc.VirtualCosts.shrink_to_fit();
-      // View-mode launches drop their borrowed window too, so a
-      // finished record never holds a pointer into caller memory.
+      // work-queue launches drop their borrowed window, so a finished
+      // record never holds a pointer into caller memory.
       L.Desc.ViewCosts = nullptr;
       L.Desc.ViewBegin = L.Desc.ViewEnd = 0;
     }

@@ -75,30 +75,21 @@ struct KernelLaunchDesc {
   /// Static mode: cost (thread-cycles) of each physical work group.
   std::vector<double> StaticCosts;
 
-  /// WorkQueue mode: cost of each *virtual* group, the number of
-  /// physical work groups that drain them, and the dequeue batch size.
-  std::vector<double> VirtualCosts;
-  uint64_t PhysicalWGs = 0;
-  uint64_t Batch = 1;
-
-  /// WorkQueue fast path for high-rate serving replays: a non-owning
-  /// [ViewBegin, ViewEnd) window into a per-virtual-group cost array
-  /// owned by the caller (e.g. the compiled kernel's WGCosts), used in
-  /// place of copying the window into VirtualCosts. The array must
-  /// outlive the launch's completion. Null (the default) keeps the
-  /// owned-vector representation.
+  /// WorkQueue mode: the virtual groups this launch drains are the
+  /// non-owning window [ViewBegin, ViewEnd) of a per-virtual-group cost
+  /// array owned by the caller (e.g. the compiled kernel's WGCosts), so
+  /// a slice launch borrows its costs instead of copying them. The
+  /// array must outlive the launch's completion. PhysicalWGs physical
+  /// work groups drain the window, Batch virtual groups per dequeue.
   const double *ViewCosts = nullptr;
   uint64_t ViewBegin = 0;
   uint64_t ViewEnd = 0;
+  uint64_t PhysicalWGs = 0;
+  uint64_t Batch = 1;
 
-  /// Virtual-group count under either representation.
-  uint64_t numVirtualGroups() const {
-    return ViewCosts ? ViewEnd - ViewBegin : VirtualCosts.size();
-  }
-  /// Cost of virtual group \p I under either representation.
-  double virtualCost(uint64_t I) const {
-    return ViewCosts ? ViewCosts[ViewBegin + I] : VirtualCosts[I];
-  }
+  uint64_t numVirtualGroups() const { return ViewEnd - ViewBegin; }
+  /// Cost of virtual group \p I of the window.
+  double virtualCost(uint64_t I) const { return ViewCosts[ViewBegin + I]; }
 
   /// Launches sharing a merge group dispatch without head-of-line
   /// blocking between each other (the Elastic Kernels merged batch).

@@ -18,6 +18,11 @@
 
 #include "gtest/gtest.h"
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 using namespace accel;
 using namespace accel::harness;
 
@@ -153,6 +158,59 @@ TEST(IntegrationAmd, MeanFairnessImprovesForEightRequests) {
     AOSSum += D.runWorkload(SchedulerKind::AccelOSOptimized, W).Unfairness;
   }
   EXPECT_LT(AOSSum, BaseSum);
+}
+
+TEST(IntegrationGolden, PaperBatchOutcomesMatchGolden) {
+  // Pins the paper's batch experiments byte-for-byte on both platforms:
+  // seeded 2-, 4- and 8-kernel mixes under all four schedulers
+  // (makespan, unfairness, overlap and every slowdown), plus every
+  // suite kernel's isolated duration under each scheduler. The fixture
+  // is hexfloat, so every value is compared bit-for-bit.
+  const SchedulerKind Kinds[] = {
+      SchedulerKind::Baseline, SchedulerKind::ElasticKernels,
+      SchedulerKind::AccelOSNaive, SchedulerKind::AccelOSOptimized};
+  std::string Got;
+  char Buf[256];
+  auto Add = [&](const char *Fmt, auto... Args) {
+    std::snprintf(Buf, sizeof(Buf), Fmt, Args...);
+    Got += Buf;
+  };
+  for (const sim::DeviceSpec &Spec :
+       {sim::DeviceSpec::nvidiaK20m(), sim::DeviceSpec::amdR9295X2()}) {
+    ExperimentDriver D(Spec);
+    Add("platform %s\n", Spec.Name.c_str());
+    for (size_t K : {2, 4, 8}) {
+      for (const workloads::Workload &W :
+           workloads::randomCombinations(K, 3, 20261019 + K)) {
+        Got += "mix";
+        for (size_t Idx : W)
+          Add(" %s", D.kernel(Idx).Spec->Id.c_str());
+        Got += "\n";
+        for (SchedulerKind Kind : Kinds) {
+          WorkloadOutcome O = D.runWorkload(Kind, W);
+          Add("%s makespan %a unfairness %a overlap %a\n",
+              schedulerName(Kind), O.Makespan, O.Unfairness, O.Overlap);
+          Got += "slowdowns";
+          for (double S : O.Slowdowns)
+            Add(" %a", S);
+          Got += "\n";
+        }
+      }
+    }
+    for (size_t I = 0; I != D.numKernels(); ++I) {
+      Add("isolated %s", D.kernel(I).Spec->Id.c_str());
+      for (SchedulerKind Kind : Kinds)
+        Add(" %a", D.isolatedDuration(Kind, I));
+      Got += "\n";
+    }
+  }
+
+  std::ifstream In(std::string(ACCEL_SOURCE_DIR) +
+                   "/tests/golden/paper_batch.golden");
+  ASSERT_TRUE(In.good()) << "golden fixture missing";
+  std::ostringstream Want;
+  Want << In.rdbuf();
+  EXPECT_EQ(Got, Want.str());
 }
 
 } // namespace

@@ -10,6 +10,8 @@
 
 #include "gtest/gtest.h"
 
+#include <sys/resource.h>
+
 using namespace accel;
 using namespace accel::ocl;
 
@@ -22,6 +24,50 @@ const char *VaddSource = R"(
     c[gid] = a[gid] + b[gid];
   }
 )";
+
+// Sanitizer builds change what a heap block costs in resident memory.
+#if defined(__has_feature)
+#define ACCEL_HAS_FEATURE(F) __has_feature(F)
+#else
+#define ACCEL_HAS_FEATURE(F) 0
+#endif
+#if defined(__SANITIZE_ADDRESS__) || ACCEL_HAS_FEATURE(address_sanitizer)
+constexpr bool AsanBuild = true;
+#else
+constexpr bool AsanBuild = false;
+#endif
+#if defined(__SANITIZE_THREAD__) || ACCEL_HAS_FEATURE(thread_sanitizer)
+constexpr bool TsanBuild = true;
+#else
+constexpr bool TsanBuild = false;
+#endif
+
+TEST(OclDeviceTest, DevicesAreLazilyBacked) {
+  // A device's multi-GiB global memory costs resident memory only for
+  // the pages its allocations touch. Declared first so no earlier test
+  // in this process has raised the peak already.
+  if (TsanBuild)
+    GTEST_SKIP() << "ThreadSanitizer's calloc zero-fills every block";
+  auto PeakRssBytes = [] {
+    struct rusage U;
+    getrusage(RUSAGE_SELF, &U);
+    return static_cast<uint64_t>(U.ru_maxrss) * 1024; // KiB on Linux.
+  };
+  for (const sim::DeviceSpec &Spec :
+       {sim::DeviceSpec::nvidiaK20m(), sim::DeviceSpec::amdR9295X2()}) {
+    // Measured while the device is alive: AddressSanitizer also poisons
+    // the shadow of a freed block, which raises the peak afterwards.
+    const uint64_t Before = PeakRssBytes();
+    Device Dev(Spec);
+    Buffer B = cantFail(Buffer::create(Dev, 4096));
+    const uint64_t Capacity = Dev.memory().capacityBytes();
+    EXPECT_GT(Capacity, 1ull << 30);
+    // AddressSanitizer writes one shadow byte per eight heap bytes at
+    // allocation: the sanitizer's cost, not the device's.
+    const uint64_t Shadow = AsanBuild ? Capacity / 8 : 0;
+    EXPECT_LT(PeakRssBytes() - Before, (256ull << 20) + Shadow) << Spec.Name;
+  }
+}
 
 TEST(OclDeviceTest, PlatformModels) {
   auto N = Platform::createNvidiaK20m();

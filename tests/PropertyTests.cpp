@@ -154,7 +154,8 @@ TEST_P(EngineProperty, WorkQueueAndStaticAgreeOnTotalWGs) {
   L.RegsPerThread = 8;
   L.IssueEfficiency = 0.5;
   L.Mode = sim::KernelLaunchDesc::ModeKind::WorkQueue;
-  L.VirtualCosts = Costs;
+  L.ViewCosts = Costs.data();
+  L.ViewEnd = Costs.size();
   L.PhysicalWGs = 1 + Rng.nextBelow(32);
   L.Batch = 1 + Rng.nextBelow(8);
 
@@ -176,9 +177,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EngineProperty,
 
 namespace {
 
-/// A randomized mixed-mode launch set with arrivals in [0, Spread).
-std::vector<sim::KernelLaunchDesc> randomArrivalLaunches(SplitMix64 &Rng,
-                                                         double Spread) {
+/// A randomized mixed-mode launch set with arrivals in [0, Spread). The
+/// work-queue launches borrow their costs from \p CostStore.
+std::vector<sim::KernelLaunchDesc>
+randomArrivalLaunches(SplitMix64 &Rng, double Spread,
+                      std::vector<std::vector<double>> &CostStore) {
   std::vector<sim::KernelLaunchDesc> Launches;
   size_t N = 2 + Rng.nextBelow(5);
   for (size_t I = 0; I != N; ++I) {
@@ -196,8 +199,11 @@ std::vector<sim::KernelLaunchDesc> randomArrivalLaunches(SplitMix64 &Rng,
         L.StaticCosts.push_back(500.0 + Rng.nextDouble() * 40000.0);
     } else {
       L.Mode = sim::KernelLaunchDesc::ModeKind::WorkQueue;
+      std::vector<double> &Costs = CostStore.emplace_back();
       for (size_t W = 0; W != WGs; ++W)
-        L.VirtualCosts.push_back(500.0 + Rng.nextDouble() * 40000.0);
+        Costs.push_back(500.0 + Rng.nextDouble() * 40000.0);
+      L.ViewCosts = Costs.data();
+      L.ViewEnd = Costs.size();
       L.PhysicalWGs = 1 + Rng.nextBelow(8);
       L.Batch = 1 + Rng.nextBelow(4);
     }
@@ -216,8 +222,9 @@ TEST_P(ArrivalProperty, NeverStartsBeforeArrivalAndConservesWork) {
   D.WGDispatchCycles = 0;
   D.DequeueCycles = 0;
 
+  std::vector<std::vector<double>> Costs;
   std::vector<sim::KernelLaunchDesc> Launches =
-      randomArrivalLaunches(Rng, /*Spread=*/50000.0);
+      randomArrivalLaunches(Rng, /*Spread=*/50000.0, Costs);
   double TotalWork = 0, FirstArrival = Launches[0].ArrivalTime;
   for (const auto &L : Launches) {
     TotalWork += L.totalWork();
@@ -245,8 +252,9 @@ TEST_P(ArrivalProperty, TimeShiftInvariance) {
   // same constant: the engine has no hidden absolute-time behaviour.
   SplitMix64 Rng(GetParam() * 40493);
   sim::DeviceSpec D = sim::DeviceSpec::nvidiaK20m();
+  std::vector<std::vector<double>> Costs;
   std::vector<sim::KernelLaunchDesc> Launches =
-      randomArrivalLaunches(Rng, /*Spread=*/20000.0);
+      randomArrivalLaunches(Rng, /*Spread=*/20000.0, Costs);
 
   sim::Engine E(D);
   sim::SimResult Base = E.run(Launches);
@@ -270,8 +278,9 @@ TEST_P(ArrivalProperty, WidelySpacedArrivalsRunInIsolation) {
   // launch's duration equals its solo duration.
   SplitMix64 Rng(GetParam() * 65537);
   sim::DeviceSpec D = sim::DeviceSpec::nvidiaK20m();
+  std::vector<std::vector<double>> Costs;
   std::vector<sim::KernelLaunchDesc> Launches =
-      randomArrivalLaunches(Rng, /*Spread=*/0.0);
+      randomArrivalLaunches(Rng, /*Spread=*/0.0, Costs);
   sim::Engine E(D);
 
   std::vector<double> Solo;

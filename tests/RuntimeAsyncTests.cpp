@@ -10,8 +10,8 @@
 /// reference loop, the bursty-trace queueing-delay gate (sliced
 /// continuous admission must beat unsliced admission on mean AND p95),
 /// the multi-producer submit/wait stress (the TSan target), callback
-/// dispatch including re-entrant submission, and event-time semantics
-/// of ScheduledExecution.
+/// dispatch including re-entrant submission, event-time semantics of
+/// ScheduledExecution, and rejection of non-finite arrival times.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -461,6 +461,29 @@ TEST(RuntimeAsyncTest, WaitOnUnknownRequestFails) {
   Expected<ScheduledExecution> E = RT.wait(42);
   EXPECT_FALSE(static_cast<bool>(E));
   EXPECT_NE(E.message().find("unknown request"), std::string::npos);
+}
+
+TEST(RuntimeAsyncTest, NonFiniteArrivalTimesAreRejected) {
+  sim::DeviceSpec Spec = smallSpec();
+  ocl::Device Dev(Spec);
+  Runtime RT(Dev);
+  TestApp A = makeApp(RT, 1, 64 * 64);
+  kir::NDRangeCfg Range = range1D(64 * 64, 64);
+
+  for (double At : {std::nan(""), HUGE_VAL}) {
+    Expected<RequestHandle> H = RT.submitAt(1, *A.K, Range, At);
+    ASSERT_FALSE(static_cast<bool>(H)) << "arrival " << At;
+    EXPECT_NE(H.message().find("not finite"), std::string::npos);
+  }
+  EXPECT_EQ(RT.pendingRequests(), 0u);
+
+  // The rejected arrivals left nothing behind: a later submission still
+  // completes on drain.
+  cantFail(A.Proxy->submitNDRange(*A.K, Range));
+  auto Done = cantFail(RT.drain());
+  ASSERT_EQ(Done.size(), 1u);
+  EXPECT_EQ(Done[0].AppId, 1);
+  EXPECT_LT(Done[0].StartTime, Done[0].EndTime);
 }
 
 } // namespace

@@ -183,12 +183,14 @@ TEST(EngineTest, ProcessorSharingSplitsLanes) {
 TEST(EngineTest, WorkQueueDrainsAllVirtualGroups) {
   DeviceSpec D = tinyDevice();
   Engine E(D);
+  const std::vector<double> Costs(64, 3200.0);
   KernelLaunchDesc L;
   L.Name = "wq";
   L.WGThreads = 32;
   L.RegsPerThread = 8;
   L.Mode = KernelLaunchDesc::ModeKind::WorkQueue;
-  L.VirtualCosts.assign(64, 3200.0);
+  L.ViewCosts = Costs.data();
+  L.ViewEnd = Costs.size();
   L.PhysicalWGs = 4;
   L.Batch = 1;
   SimResult R = E.run({L});
@@ -218,7 +220,8 @@ TEST(EngineTest, DynamicDequeueBalancesSkewedWork) {
   WqL.WGThreads = 256;
   WqL.RegsPerThread = 8;
   WqL.Mode = KernelLaunchDesc::ModeKind::WorkQueue;
-  WqL.VirtualCosts = Costs;
+  WqL.ViewCosts = Costs.data();
+  WqL.ViewEnd = Costs.size();
   WqL.PhysicalWGs = 4;
   WqL.Batch = 1;
 
@@ -231,13 +234,15 @@ TEST(EngineTest, DynamicDequeueBalancesSkewedWork) {
 TEST(EngineTest, DequeueCostPenalizesSmallBatches) {
   DeviceSpec D = tinyDevice();
   D.DequeueCycles = 200.0;
+  const std::vector<double> Costs(128, 320.0);
   auto MakeWq = [&](uint64_t Batch) {
     KernelLaunchDesc L;
     L.Name = "wq";
     L.WGThreads = 32;
     L.RegsPerThread = 8;
     L.Mode = KernelLaunchDesc::ModeKind::WorkQueue;
-    L.VirtualCosts.assign(128, 320.0);
+    L.ViewCosts = Costs.data();
+    L.ViewEnd = Costs.size();
     L.PhysicalWGs = 4;
     L.Batch = Batch;
     return L;
@@ -401,13 +406,15 @@ TEST(EngineSessionTest, AdmitAllThenDrainMatchesBatchRun) {
   std::vector<KernelLaunchDesc> Batch = {
       staticKernel("a", 0, 256, 16, 25600.0),
       staticKernel("b", 1, 32, 4, 3200.0)};
+  const std::vector<double> WqCosts(64, 3200.0);
   KernelLaunchDesc Wq;
   Wq.Name = "wq";
   Wq.AppId = 2;
   Wq.WGThreads = 32;
   Wq.RegsPerThread = 8;
   Wq.Mode = KernelLaunchDesc::ModeKind::WorkQueue;
-  Wq.VirtualCosts.assign(64, 3200.0);
+  Wq.ViewCosts = WqCosts.data();
+  Wq.ViewEnd = WqCosts.size();
   Wq.PhysicalWGs = 4;
   Wq.Batch = 2;
   Wq.ArrivalTime = 150.0;
