@@ -70,8 +70,12 @@ static void BM_ResourceSolver(benchmark::State &State) {
     D.RequestedWGs = 256;
     Ds.push_back(D);
   }
+  // The production allocation-free overload, its buffers hoisted out of
+  // the loop as the schedulers keep them.
+  accelos::SolverScratch Scratch;
+  std::vector<uint64_t> Shares;
   for (auto _ : State) {
-    auto Shares = accelos::solveFairShares(Caps, Ds);
+    accelos::solveFairShares(Caps, Ds, {}, Scratch, Shares);
     benchmark::DoNotOptimize(Shares);
   }
 }
@@ -136,11 +140,9 @@ void runAdmitEvent(benchmark::State &State, Scheduler &S) {
 static void BM_AdmitEventFullSolve(benchmark::State &State) {
   accelos::ResourceCaps Caps =
       accelos::ResourceCaps::fromDevice(sim::DeviceSpec::nvidiaK20m());
-  accelos::SolverOptions Opts;
-  Opts.FastSaturation = false; // The pre-optimization reference solve.
   accelos::SchedulerOptions SchedOpts;
-  SchedOpts.Incremental = false;
-  accelos::ContinuousScheduler S(Caps, Opts, SchedOpts);
+  SchedOpts.Incremental = false; // The pre-optimization reference solve.
+  accelos::ContinuousScheduler S(Caps, {}, SchedOpts);
   runAdmitEvent(State, S);
 }
 BENCHMARK(BM_AdmitEventFullSolve);

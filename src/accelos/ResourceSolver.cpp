@@ -45,14 +45,9 @@ bool fits(const ResourceCaps &Caps, const std::vector<KernelDemand> &Ks,
 std::vector<uint64_t>
 accelos::solveFairShares(const ResourceCaps &Caps,
                          const std::vector<KernelDemand> &Ks,
-                         const SolverOptions &Opts, SolveInfo *Info) {
+                         const SolverOptions &Opts) {
   assert(!Ks.empty() && "solver needs at least one kernel");
   size_t K = Ks.size();
-  if (Info) {
-    Info->Floored.assign(K, false);
-    Info->Saturated.assign(K, false);
-    Info->Clamped = false;
-  }
 
   // Kernels that request no work groups take no share and are excluded
   // from the fairness divisor: an idle tenant must not dilute the
@@ -114,9 +109,7 @@ accelos::solveFairShares(const ResourceCaps &Caps,
   // the most-oversubscribed resource and the floored kernel that
   // contributes most to it, so kernels that are not part of the
   // violation keep their work group.
-  bool Clamped = false;
   while (!fits(Caps, Ks, Shares)) {
-    Clamped = true;
     uint64_t Use[4] = {0, 0, 0, 0};
     for (size_t I = 0; I != K; ++I) {
       ResourceUse U = footprintOf(Ks[I], Shares[I]);
@@ -279,19 +272,8 @@ accelos::solveFairShares(const ResourceCaps &Caps,
     Shares[Victim] = 0;
   }
 
-  std::vector<bool> Saturated(K, false);
-  auto Finish = [&]() {
-    if (Info) {
-      Info->Floored = Floored;
-      Info->Saturated = Saturated;
-      Info->Clamped = Clamped;
-    }
-  };
-
-  if (!Opts.GreedySaturation) {
-    Finish();
+  if (!Opts.GreedySaturation)
     return Shares;
-  }
 
   // Only active kernels' weights matter: a zero-work request neither
   // takes a share nor may its (arbitrary) weight flip the solve onto
@@ -311,83 +293,21 @@ accelos::solveFairShares(const ResourceCaps &Caps,
     }
   }
 
-  // Saturation state for the fast loops: the aggregate footprint of
-  // the current shares, maintained incrementally so each +1 probe is a
-  // four-compare O(1) check instead of the reference loop's O(K)
-  // fits() re-sum. Capacity only shrinks while shares grow, so a
-  // kernel whose probe fails once is saturated for good and drops out
-  // of the sweep — the decision sequence (and hence every share) is
-  // identical to the reference loop, which probes it again each sweep
-  // only to fail again.
-  const uint64_t Cap[4] = {Caps.Threads, Caps.LocalMem, Caps.Regs,
-                           Caps.WGSlots};
-  uint64_t Use[4] = {0, 0, 0, 0};
-  if (Opts.FastSaturation) {
-    for (size_t I = 0; I != K; ++I) {
-      ResourceUse U = footprintOf(Ks[I], Shares[I]);
-      Use[0] += U.Threads;
-      Use[1] += U.LocalMem;
-      Use[2] += U.Regs;
-      Use[3] += U.WGSlots;
-    }
-  }
-  auto ProbeGrow = [&](size_t I) {
-    const KernelDemand &D = Ks[I];
-    const uint64_t PerWG[4] = {D.WGThreads, D.LocalMemPerWG,
-                               D.WGThreads * D.RegsPerThread, 1};
-    for (unsigned Dim = 0; Dim != 4; ++Dim)
-      if (Use[Dim] + PerWG[Dim] > Cap[Dim])
-        return false;
-    for (unsigned Dim = 0; Dim != 4; ++Dim)
-      Use[Dim] += PerWG[Dim];
-    ++Shares[I];
-    return true;
-  };
-
   if (EqualWeights) {
     // Greedy saturation (Sec. 3): grow shares round-robin until no
     // kernel can take another work group.
-    if (Opts.FastSaturation) {
-      size_t Active = 0;
-      std::vector<bool> Done(K, false);
+    for (bool Progress = true; Progress;) {
+      Progress = false;
       for (size_t I = 0; I != K; ++I) {
-        Done[I] = Shares[I] >= Ks[I].RequestedWGs;
-        if (!Done[I])
-          ++Active;
-      }
-      while (Active) {
-        for (size_t I = 0; I != K; ++I) {
-          if (Done[I])
-            continue;
-          if (ProbeGrow(I)) {
-            if (Shares[I] >= Ks[I].RequestedWGs) {
-              Done[I] = true;
-              --Active;
-            }
-          } else {
-            Done[I] = true;
-            Saturated[I] = true;
-            --Active;
-          }
-        }
-      }
-    } else {
-      for (bool Progress = true; Progress;) {
-        Progress = false;
-        for (size_t I = 0; I != K; ++I) {
-          if (Shares[I] >= Ks[I].RequestedWGs)
-            continue;
-          ++Shares[I];
-          if (fits(Caps, Ks, Shares)) {
-            Progress = true;
-          } else {
-            --Shares[I];
-            Saturated[I] = true;
-          }
-        }
+        if (Shares[I] >= Ks[I].RequestedWGs)
+          continue;
+        ++Shares[I];
+        if (fits(Caps, Ks, Shares))
+          Progress = true;
+        else
+          --Shares[I];
       }
     }
-    Finish();
     return Shares;
   }
 
@@ -401,6 +321,7 @@ accelos::solveFairShares(const ResourceCaps &Caps,
   // the result is deterministic), until nothing fits. Equal weights
   // reduce to the round-robin above, which is kept verbatim so the
   // paper-default allocations stay bit-identical.
+  std::vector<bool> Saturated(K, false);
   for (;;) {
     size_t Next = K;
     double NextNorm = 0;
@@ -415,18 +336,12 @@ accelos::solveFairShares(const ResourceCaps &Caps,
     }
     if (Next == K)
       break;
-    if (Opts.FastSaturation) {
-      if (!ProbeGrow(Next))
-        Saturated[Next] = true;
-    } else {
-      ++Shares[Next];
-      if (!fits(Caps, Ks, Shares)) {
-        --Shares[Next];
-        Saturated[Next] = true;
-      }
+    ++Shares[Next];
+    if (!fits(Caps, Ks, Shares)) {
+      --Shares[Next];
+      Saturated[Next] = true;
     }
   }
-  Finish();
   return Shares;
 }
 

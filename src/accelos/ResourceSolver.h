@@ -75,25 +75,6 @@ inline ResourceUse footprintOf(const KernelDemand &D, uint64_t WGs) {
 /// the ablation study).
 struct SolverOptions {
   bool GreedySaturation = true;
-  /// Run the saturation phase against an incrementally maintained
-  /// aggregate footprint, so each +1 feasibility probe is O(1) instead
-  /// of a full O(K) re-sum, and drop kernels from the sweep permanently
-  /// once a probe fails (aggregate use only grows during saturation, so
-  /// a failed increment can never succeed later). The grown shares are
-  /// bit-identical to the reference loop; disabling this reproduces the
-  /// pre-optimization hot path for differential tests and the
-  /// serve_scale full-solve baseline.
-  bool FastSaturation = true;
-};
-
-/// Structural facts of one solve, exposed for the incremental
-/// scheduling fast paths and their self-checks: which kernels took the
-/// minimum-share floor, which were stopped by capacity during
-/// saturation, and whether the oversubscription clamp had to fire.
-struct SolveInfo {
-  std::vector<bool> Floored;   ///< Base division hit the one-WG floor.
-  std::vector<bool> Saturated; ///< Saturation stopped on capacity.
-  bool Clamped = false;        ///< Floors oversubscribed; clamp ran.
 };
 
 /// Computes the number of physical work groups per kernel. Shares never
@@ -109,10 +90,17 @@ struct SolveInfo {
 /// work groups (ties to the largest demand in the most-oversubscribed
 /// resource); only past those bounds does the iterative
 /// largest-contributor heuristic fire.
+///
+/// This allocating overload is the reference solve: it re-checks
+/// feasibility with a full O(K) footprint sum at every saturation probe
+/// and searches clamp candidate subsets directly. Production admission
+/// goes through the allocation-free overload below; this one is the
+/// oracle of the differential tests and the schedulers' SelfCheck mode,
+/// and the pre-optimization baseline of ContinuousScheduler's reference
+/// mode.
 std::vector<uint64_t> solveFairShares(const ResourceCaps &Caps,
                                       const std::vector<KernelDemand> &Ks,
-                                      const SolverOptions &Opts = {},
-                                      SolveInfo *Info = nullptr);
+                                      const SolverOptions &Opts = {});
 
 /// Reusable working storage for the allocation-free solver overload:
 /// one long-lived instance per scheduler amortizes every per-solve
@@ -156,10 +144,11 @@ struct SolverScratch {
   std::vector<ShapeClass> Shapes;
 };
 
-/// Allocation-free solve for the admission hot path. Produces the same
-/// share vector as the allocating overload for the same inputs — every
-/// integer comparison is against the same exactly-maintained aggregate
-/// sums the reference recomputes, so the decision sequence is
+/// Allocation-free solve: every production scheduling decision (round
+/// planning, continuous admission, solo rescues) runs it. Produces the
+/// same share vector as the allocating overload for the same inputs —
+/// every integer comparison is against the same exactly-maintained
+/// aggregate sums the reference recomputes, so the decision sequence is
 /// bit-identical (asserted by the schedulers' SelfCheck mode and the
 /// solver differential tests). Working storage lives in \p Scratch and
 /// the result is written into \p Shares, both reused across calls.
@@ -168,13 +157,14 @@ void solveFairShares(const ResourceCaps &Caps,
                      const SolverOptions &Opts, SolverScratch &Scratch,
                      std::vector<uint64_t> &Shares);
 
-/// Launch-time floor for a solved share. Historically every zero share
-/// was floored to one work group at launch; clamp-shed requests are now
-/// *deferred* to a later scheduling round instead (see
-/// accelos::RoundScheduler), so the only remaining caller is the
-/// scheduler's solo-round path, where a request whose single work group
-/// exceeds even the empty device must still execute (serialized by the
-/// execution layer) rather than silently losing its work.
+/// Launch-time floor for a solved share. Clamp-shed requests are
+/// *deferred* to a later scheduling decision rather than floored at
+/// launch, so the only callers are the schedulers' work-conservation
+/// escapes — RoundScheduler's solo rounds and the idle-device grants of
+/// ContinuousScheduler and StrideScheduler — where a request whose
+/// single work group exceeds even the empty device must still execute
+/// (serialized by the execution layer) rather than silently losing its
+/// work.
 inline uint64_t launchWGs(uint64_t Share) { return Share ? Share : 1; }
 
 } // namespace accelos

@@ -55,9 +55,18 @@ void MemoryManager::released(int AppId, uint64_t Size) {
 // RequestHandle
 //===----------------------------------------------------------------------===//
 
-RequestStatus RequestHandle::status() const { return RT->status(Id); }
-bool RequestHandle::done() const { return RT->done(Id); }
-Expected<ScheduledExecution> RequestHandle::wait() { return RT->wait(Id); }
+// A default-constructed handle names no request: it reports Failed (so
+// done() polls end) and wait() fails instead of dereferencing null.
+RequestStatus RequestHandle::status() const {
+  return RT ? RT->status(Id) : RequestStatus::Failed;
+}
+bool RequestHandle::done() const { return !RT || RT->done(Id); }
+Expected<ScheduledExecution> RequestHandle::wait() {
+  if (!RT)
+    return Expected<ScheduledExecution>(
+        makeError("wait() on an invalid request handle"));
+  return RT->wait(Id);
+}
 
 //===----------------------------------------------------------------------===//
 // Runtime: JIT path (FSM (a))
@@ -247,8 +256,9 @@ Expected<KernelCostModel> Runtime::costModel(ocl::Kernel &K,
 
 RequestStatus Runtime::status(uint64_t Id) const {
   std::lock_guard<std::mutex> L(Mu);
+  // Never issued: as wait() reports it, an unknown request has failed.
   if (Id >= StatusOf.size())
-    return RequestStatus::Queued;
+    return RequestStatus::Failed;
   return static_cast<RequestStatus>(StatusOf[Id]);
 }
 
@@ -260,12 +270,6 @@ size_t Runtime::pendingRequests() const {
 double Runtime::now() const {
   std::lock_guard<std::mutex> L(Mu);
   return Session.now();
-}
-
-const SchedulerStats &Runtime::schedulerStats() const {
-  if (Opts.Mode == RuntimeOptions::Admission::Stride)
-    return StrideSched.stats();
-  return ContSched.stats();
 }
 
 //===----------------------------------------------------------------------===//
@@ -372,18 +376,17 @@ RoundRequest Runtime::queuedRequestLocked(uint64_t Id) const {
   return RR;
 }
 
-template <AdmissionScheduler SchedulerT>
-bool Runtime::admissionPassLocked(SchedulerT &Sched, double T) {
+bool Runtime::admissionPassLocked(double T) {
   bool Freed = false;
   bool Repass = runAdmissionPass(
-      Sched, Session, LaunchBuf,
+      ContSched, Session, LaunchBuf,
       [&](uint64_t Id,
           uint64_t WGs) -> std::optional<sim::KernelLaunchDesc> {
         GrantOutcome O = buildGrantLocked(Id, WGs, T);
         if (O.Failed) {
           // The failed grant holds an in-flight reservation in the
           // scheduler's books; release it so waiters can take it.
-          Sched.complete(Id);
+          ContSched.complete(Id);
           Freed = true;
         }
         return std::move(O.Launch);
@@ -414,37 +417,30 @@ bool Runtime::recordCompletionLocked(const sim::KernelExecResult &K) {
   return R.Cursor < R.WGCosts.size();
 }
 
-template <AdmissionScheduler SchedulerT>
-bool Runtime::contStepLocked(SchedulerT &Sched) {
+bool Runtime::stepLocked() {
   double T = Session.now();
   // Arrival events due now join the queue before admission runs, so
   // same-instant arrivals are solved together (harness semantics).
   while (!Arrivals.empty() && Arrivals.top().first <= T) {
     uint64_t Id = Arrivals.top().second;
     Arrivals.pop();
-    Sched.submit(queuedRequestLocked(Id));
+    ContSched.submit(queuedRequestLocked(Id));
     NeedAdmit = true;
   }
   while (NeedAdmit)
-    NeedAdmit = admissionPassLocked(Sched, T);
+    NeedAdmit = admissionPassLocked(T);
   if (!advanceLocked())
     return false;
   for (const sim::KernelExecResult &K : CompletionBuf) {
     uint64_t Id = static_cast<uint64_t>(K.AppId);
-    Sched.complete(Id);
+    ContSched.complete(Id);
     NeedAdmit = true;
     if (recordCompletionLocked(K))
-      Sched.submit(queuedRequestLocked(Id)); // remaining slices requeue
+      ContSched.submit(queuedRequestLocked(Id)); // remaining slices requeue
     else
       finalizeLocked(Id);
   }
   return true;
-}
-
-bool Runtime::stepLocked() {
-  if (Opts.Mode == RuntimeOptions::Admission::Stride)
-    return contStepLocked(StrideSched);
-  return contStepLocked(ContSched);
 }
 
 void Runtime::finalizeLocked(uint64_t Id) {

@@ -12,25 +12,18 @@
 /// pauses applications when device memory is oversubscribed.
 ///
 /// Concurrency model. The runtime embeds a persistent sim::EngineSession
-/// and an event-driven scheduler, so every submit() is an *arrival
-/// event*: the request is admitted into the residual device capacity at
-/// the next pump step instead of waiting for a global flush. Execution
-/// is split the way the serving harness splits it — the kernel runs
-/// *functionally* once (at its first grant, through the Virtual NDRange
-/// machinery), while its *timing* is simulated as quantum-bounded
-/// slices admitted, shrunk, and completed against the engine session.
+/// and one ContinuousScheduler, so every submit() is an *arrival
+/// event*: the request is admitted into the residual device capacity
+/// (fair shares re-solved at every arrival/completion event, with the
+/// incremental fast paths) at the next pump step instead of waiting for
+/// a global flush. Execution is split the way the serving harness
+/// splits it — the kernel runs *functionally* once (at its first grant,
+/// through the Virtual NDRange machinery), while its *timing* is
+/// simulated as quantum-bounded slices admitted, shrunk, and completed
+/// against the engine session.
 /// The pump is driven by the waiting side: wait() and drain() advance
 /// the session until the awaited work retires, dispatching completion
 /// callbacks outside the runtime lock.
-///
-/// Two admission disciplines are selectable via RuntimeOptions, both
-/// behind the one continuous pump:
-///
-///  - Continuous (default): ContinuousScheduler — fair shares re-solved
-///    at every arrival/completion event over the residual capacity,
-///    with the incremental fast paths;
-///  - Stride: StrideScheduler — approximate proportional share without
-///    the solver.
 ///
 /// Thread safety: submit()/submitAt()/wait()/drain()/
 /// status()/done()/now()/onCompletion() may be called from multiple
@@ -105,15 +98,7 @@ private:
 
 /// Runtime admission configuration, fixed at construction.
 struct RuntimeOptions {
-  enum class Admission {
-    /// Event-driven fair-share admission at every arrival/completion
-    /// (the default).
-    Continuous,
-    /// Stride (proportional-share) admission without the solver.
-    Stride,
-  };
-  Admission Mode = Admission::Continuous;
-  /// Timing-slice quantum for continuous/stride admission: an in-flight
+  /// Timing-slice quantum for continuous admission: an in-flight
   /// grant occupies its share for at most ~this many cycles before the
   /// remainder is requeued and re-solved. <= 0 runs each grant's whole
   /// remaining range in one slice.
@@ -176,13 +161,15 @@ public:
   uint64_t id() const { return Id; }
   bool valid() const { return RT != nullptr; }
 
-  /// Current lifecycle state (thread-safe).
+  /// Current lifecycle state (thread-safe); Failed for an invalid
+  /// (default-constructed) handle.
   RequestStatus status() const;
   /// True once retired (Completed or Failed).
   bool done() const;
   /// Drives the runtime pump until this request retires and returns its
   /// execution record (or the functional-execution error). A second
-  /// wait() on the same request fails: the result was consumed.
+  /// wait() on the same request fails: the result was consumed; so does
+  /// wait() on an invalid handle.
   Expected<ScheduledExecution> wait();
 
 private:
@@ -206,15 +193,13 @@ struct KernelCostModel {
 class Runtime {
 public:
   /// \p Mode selects the naive or optimized scheduling variant
-  /// (Sec. 8.5); \p Opts the admission discipline (continuous by
-  /// default). Per-application weights default to equal sharing.
+  /// (Sec. 8.5); \p Opts the slice quantum and grant recording.
+  /// Per-application weights default to equal sharing.
   explicit Runtime(ocl::Device &Dev,
                    SchedulingMode Mode = SchedulingMode::Optimized,
                    RuntimeOptions Opts = {})
       : Dev(&Dev), Mode(Mode), Opts(Opts), Memory(Dev),
-        ContSched(ResourceCaps::fromDevice(Dev.spec())),
-        StrideSched(ResourceCaps::fromDevice(Dev.spec())),
-        Session(Dev.spec()) {}
+        ContSched(ResourceCaps::fromDevice(Dev.spec())), Session(Dev.spec()) {}
 
   ocl::Device &device() { return *Dev; }
   MemoryManager &memory() { return Memory; }
@@ -266,7 +251,8 @@ public:
   /// (in addition to any per-submit callback). Thread-safe.
   void onCompletion(CompletionCallback Cb);
 
-  /// Lifecycle state of request \p Id. Thread-safe.
+  /// Lifecycle state of request \p Id; Failed for an id this runtime
+  /// never issued (wait() rejects it as unknown). Thread-safe.
   RequestStatus status(uint64_t Id) const;
   bool done(uint64_t Id) const {
     RequestStatus S = status(Id);
@@ -290,8 +276,8 @@ public:
   /// Current simulation time of the embedded session. Thread-safe.
   double now() const;
 
-  /// The active scheduler's observable behaviour.
-  const SchedulerStats &schedulerStats() const;
+  /// The admission scheduler's observable behaviour.
+  const SchedulerStats &schedulerStats() const { return ContSched.stats(); }
 
   /// Every grant issued, in admission order (RecordGrantHistory only) —
   /// the bit-identity regression hook. Read when quiescent.
@@ -349,10 +335,9 @@ private:
 
   /// One pump step; \returns false when the runtime is idle.
   bool stepLocked();
-  template <AdmissionScheduler SchedulerT>
-  bool contStepLocked(SchedulerT &Sched);
-  template <AdmissionScheduler SchedulerT>
-  bool admissionPassLocked(SchedulerT &Sched, double T);
+  /// One admission pass at time \p T; \returns true when it must re-run
+  /// at the same instant.
+  bool admissionPassLocked(double T);
   /// The queue entry for request \p Id's remaining range: an arrival,
   /// or a sliced remainder re-entering the scheduler.
   RoundRequest queuedRequestLocked(uint64_t Id) const;
@@ -385,7 +370,6 @@ private:
 
   mutable std::mutex Mu;
   ContinuousScheduler ContSched;
-  StrideScheduler StrideSched;
   sim::EngineSession Session;
 
   std::map<uint64_t, RequestState> Requests; ///< Live, by request id.

@@ -1,4 +1,4 @@
-//===- accelos/Scheduler.cpp - Round-based kernel scheduler ------------------===//
+//===- accelos/Scheduler.cpp - Kernel admission schedulers -------------------===//
 //
 // Part of the accelOS reproduction (CGO'16, Margiolas & O'Boyle).
 //
@@ -59,16 +59,15 @@ void subUse(ResourceUse &A, const ResourceUse &B) {
   A.WGSlots -= B.WGSlots;
 }
 
-/// \p Caps minus \p Use, saturating at zero (a solo-rescue grant may
-/// legitimately exceed the device; see ContinuousScheduler::admit).
-ResourceCaps residualOf(const ResourceCaps &Caps, const ResourceUse &Use) {
-  ResourceCaps Free = Caps;
-  auto Sub = [](uint64_t &Cap, uint64_t U) { Cap -= std::min(Cap, U); };
-  Sub(Free.Threads, Use.Threads);
-  Sub(Free.LocalMem, Use.LocalMem);
-  Sub(Free.Regs, Use.Regs);
-  Sub(Free.WGSlots, Use.WGSlots);
-  return Free;
+/// The share \p D solves to alone on the empty device, through the
+/// allocation-free solver; \p Share is the caller's result buffer.
+uint64_t soloShare(const ResourceCaps &Caps, const KernelDemand &D,
+                   const SolverOptions &Opts, SolverScratch &Scratch,
+                   std::vector<KernelDemand> &Demand,
+                   std::vector<uint64_t> &Share) {
+  Demand.assign(1, D);
+  solveFairShares(Caps, Demand, Opts, Scratch, Share);
+  return Share.front();
 }
 
 /// A queued request's aggregate footprint at its full size, under the
@@ -79,14 +78,56 @@ ResourceUse queueFootprint(const KernelDemand &D) {
 
 } // namespace
 
-RoundGrant RoundScheduler::soloGrant(const Entry &E) const {
-  std::vector<uint64_t> Shares = solveFairShares(Caps, {E.R.Demand}, Opts);
+//===----------------------------------------------------------------------===//
+// FlightLedger
+//===----------------------------------------------------------------------===//
+
+void FlightLedger::grant(uint64_t Id, const KernelDemand &D, uint64_t WGs) {
+  assert(!Flights.count(Id) && "request admitted while already in flight");
+  Flights[Id] = {D, WGs};
+  addUse(Use, footprintOf(D, WGs));
+}
+
+void FlightLedger::complete(uint64_t Id) {
+  auto It = Flights.find(Id);
+  assert(It != Flights.end() &&
+         "completing an execution that is not in flight");
+  if (It == Flights.end())
+    return;
+  subUse(Use, footprintOf(It->second.Demand, It->second.WGs));
+  Flights.erase(It);
+}
+
+void FlightLedger::shrink(uint64_t Id, uint64_t WGs) {
+  auto It = Flights.find(Id);
+  assert(It != Flights.end() && "shrinking an execution not in flight");
+  assert(WGs > 0 && WGs <= It->second.WGs &&
+         "shrink must narrow a grant, not grow it");
+  subUse(Use, footprintOf(It->second.Demand, It->second.WGs - WGs));
+  It->second.WGs = WGs;
+}
+
+ResourceCaps FlightLedger::residual(const ResourceCaps &Caps) const {
+  ResourceCaps Free = Caps;
+  auto Sub = [](uint64_t &Cap, uint64_t U) { Cap -= std::min(Cap, U); };
+  Sub(Free.Threads, Use.Threads);
+  Sub(Free.LocalMem, Use.LocalMem);
+  Sub(Free.Regs, Use.Regs);
+  Sub(Free.WGSlots, Use.WGSlots);
+  return Free;
+}
+
+//===----------------------------------------------------------------------===//
+// RoundScheduler
+//===----------------------------------------------------------------------===//
+
+RoundGrant RoundScheduler::soloGrant(const Entry &E) {
   // Alone, any well-formed request solves to at least one work group.
-  // The floor below is the one remaining use of launchWGs(): a request
-  // whose single work group exceeds even the empty device can only be
-  // serialized by the execution layer, never shed — its work must not
-  // silently disappear.
-  return {E.R.Id, E.R.Demand.RequestedWGs == 0 ? 0 : launchWGs(Shares[0])};
+  // launchWGs() floors the rest: a request whose single work group
+  // exceeds even the empty device can only be serialized by the
+  // execution layer, never shed — its work must not silently disappear.
+  uint64_t Share = soloShare(Caps, E.R.Demand, Opts, Scratch, Demands, Shares);
+  return {E.R.Id, E.R.Demand.RequestedWGs == 0 ? 0 : launchWGs(Share)};
 }
 
 std::vector<RoundGrant> RoundScheduler::nextRound() {
@@ -96,11 +137,10 @@ std::vector<RoundGrant> RoundScheduler::nextRound() {
   ++Stats.RoundsPlanned;
   ++Stats.FullSolves; // Round-synchronous planning always solves.
 
-  std::vector<KernelDemand> Demands;
-  Demands.reserve(Queue.size());
+  Demands.clear();
   for (const Entry &E : Queue)
     Demands.push_back(E.R.Demand);
-  std::vector<uint64_t> Shares = solveFairShares(Caps, Demands, Opts);
+  solveFairShares(Caps, Demands, Opts, Scratch, Shares);
 
   // Anti-starvation: when the clamp would shed the queue head (always
   // the longest-waiting request) yet again after repeated losses, give
@@ -146,34 +186,11 @@ std::vector<RoundGrant> RoundScheduler::nextRound() {
 // ContinuousScheduler
 //===----------------------------------------------------------------------===//
 
-ResourceCaps ContinuousScheduler::residual() const {
-  return residualOf(Caps, FlightUse);
-}
-
 void ContinuousScheduler::submit(const RoundRequest &R) {
   Queue.push_back({R, 0});
   addUse(QueueUse, queueFootprint(R.Demand));
   if (R.Demand.RequestedWGs > 0 && R.Demand.WGThreads > 0)
     MinWGThreads = std::min(MinWGThreads, R.Demand.WGThreads);
-}
-
-void ContinuousScheduler::complete(uint64_t Id) {
-  auto It = Flights.find(Id);
-  assert(It != Flights.end() &&
-         "completing an execution that is not in flight");
-  if (It == Flights.end())
-    return;
-  subUse(FlightUse, footprintOf(It->second.Demand, It->second.WGs));
-  Flights.erase(It);
-}
-
-void ContinuousScheduler::shrink(uint64_t Id, uint64_t WGs) {
-  auto It = Flights.find(Id);
-  assert(It != Flights.end() && "shrinking an execution not in flight");
-  assert(WGs > 0 && WGs <= It->second.WGs &&
-         "shrink must narrow a grant, not grow it");
-  subUse(FlightUse, footprintOf(It->second.Demand, It->second.WGs - WGs));
-  It->second.WGs = WGs;
 }
 
 void ContinuousScheduler::solveTargets(size_t QueueBase) {
@@ -186,7 +203,7 @@ void ContinuousScheduler::solveTargets(size_t QueueBase) {
     // since no intermediate step can exceed the fitting aggregate.
     // The solve's answer is therefore "everyone gets what they asked
     // for", share for share.
-    ResourceUse Total = FlightUse;
+    ResourceUse Total = Flights.use();
     addUse(Total, QueueUse);
     if (Total.Threads <= Caps.Threads && Total.LocalMem <= Caps.LocalMem &&
         Total.Regs <= Caps.Regs && Total.WGSlots <= Caps.WGSlots) {
@@ -227,7 +244,7 @@ void ContinuousScheduler::solveTargets(size_t QueueBase) {
     // the solve here, only the grants do; the zero vector yields the
     // same min(target, maxFitting) == 0 for every entry.
     if (!Flights.empty()) {
-      ResourceCaps Free = residual();
+      ResourceCaps Free = Flights.residual(Caps);
       bool AnyFits = false;
       // Every work-carrying request needs at least one slot and
       // MinWGThreads threads, so a residual below both bounds rules
@@ -338,7 +355,7 @@ const std::vector<RoundGrant> &ContinuousScheduler::admit() {
                               Queue[B].R.Demand.Weight;
                      });
 
-  ResourceCaps Free = residual();
+  ResourceCaps Free = Flights.residual(Caps);
   // Residual-exhaustion bound: every work-carrying demand needs at
   // least one slot and at least MinWGThreads threads, so once Free
   // drops below either, maxFitting() is zero for the rest of the pass
@@ -391,8 +408,8 @@ const std::vector<RoundGrant> &ContinuousScheduler::admit() {
         // Work conservation: an idle device never refuses its oldest
         // request. Mirror the round scheduler's solo grant (launchWGs
         // floors the pathological over-sized single work group).
-        WGs = launchWGs(
-            solveFairShares(Caps, {E.R.Demand}, Opts).front());
+        WGs = launchWGs(soloShare(Caps, E.R.Demand, Opts, Scratch, Demands,
+                                  RescueShare));
         ++Stats.SoloRescues;
       }
     }
@@ -417,10 +434,7 @@ const std::vector<RoundGrant> &ContinuousScheduler::admit() {
       ChargedUpTo = Kept.size();
     }
     Grants.push_back({E.R.Id, WGs});
-    assert(!Flights.count(E.R.Id) &&
-           "request admitted while already in flight");
-    Flights[E.R.Id] = {E.R.Demand, WGs};
-    addUse(FlightUse, footprintOf(E.R.Demand, WGs));
+    Flights.grant(E.R.Id, E.R.Demand, WGs);
     subUse(QueueUse, queueFootprint(E.R.Demand));
     subtractFootprint(Free, E.R.Demand, WGs);
     AnyCapacityGrant = true;
@@ -467,25 +481,6 @@ void StrideScheduler::submit(const RoundRequest &R) {
   ++Pending;
 }
 
-void StrideScheduler::complete(uint64_t Id) {
-  auto It = Flights.find(Id);
-  assert(It != Flights.end() &&
-         "completing an execution that is not in flight");
-  if (It == Flights.end())
-    return;
-  subUse(FlightUse, footprintOf(It->second.Demand, It->second.WGs));
-  Flights.erase(It);
-}
-
-void StrideScheduler::shrink(uint64_t Id, uint64_t WGs) {
-  auto It = Flights.find(Id);
-  assert(It != Flights.end() && "shrinking an execution not in flight");
-  assert(WGs > 0 && WGs <= It->second.WGs &&
-         "shrink must narrow a grant, not grow it");
-  subUse(FlightUse, footprintOf(It->second.Demand, It->second.WGs - WGs));
-  It->second.WGs = WGs;
-}
-
 void StrideScheduler::clear() {
   for (auto &[Tid, T] : Tenants)
     T.Queue.clear();
@@ -500,7 +495,7 @@ const std::vector<RoundGrant> &StrideScheduler::admit() {
   ++Stats.RoundsPlanned;
   ++Stats.FastPasses; // Stride never solves; every pass is a fast pass.
 
-  ResourceCaps Free = residualOf(Caps, FlightUse);
+  ResourceCaps Free = Flights.residual(Caps);
   const ResourceCaps PassFree = Free;
   const uint64_t ActiveAtStart = Ready.size();
   Skipped.clear();
@@ -552,10 +547,7 @@ const std::vector<RoundGrant> &StrideScheduler::admit() {
       continue;
     }
     Grants.push_back({E.R.Id, WGs});
-    assert(!Flights.count(E.R.Id) &&
-           "request admitted while already in flight");
-    Flights[E.R.Id] = {D, WGs};
-    addUse(FlightUse, footprintOf(D, WGs));
+    Flights.grant(E.R.Id, D, WGs);
     subtractFootprint(Free, D, WGs);
     AnyCapacityGrant = true;
     T.Queue.pop_front();

@@ -1,27 +1,24 @@
-//===- accelos/Scheduler.h - Round-based kernel scheduler -------*- C++-*-===//
+//===- accelos/Scheduler.h - Kernel admission schedulers --------*- C++-*-===//
 //
 // Part of the accelOS reproduction (CGO'16, Margiolas & O'Boyle).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The Kernel Scheduler's round policy, extracted from the runtime so
-/// the same component drives both the functional path (Runtime) and the
-/// timing harness. It maintains a FIFO queue of pending kernel
-/// execution requests and, at every scheduling boundary (a batch of
-/// arrivals or the completion of the previous round), re-solves the
-/// Sec. 3 fair shares over whatever is pending — the divisor K is
-/// dynamic, shrinking as requests complete and growing as tenants
-/// submit more work.
+/// The Kernel Scheduler's admission policies, shared by the functional
+/// path (Runtime) and the timing harness. Each keeps a queue of pending
+/// kernel execution requests and, at every scheduling boundary,
+/// decides which of them start and with how many work groups — the
+/// divisor K of the Sec. 3 fair shares is dynamic, shrinking as
+/// requests complete and growing as tenants submit more work.
 ///
 /// Requests the oversubscription clamp sheds (their minimum-share floor
 /// could not fit alongside the others) are *deferred*: they stay queued
-/// and are re-solved in a later, smaller round instead of being floored
-/// onto an already-full device. A request that keeps losing to the
-/// clamp is eventually granted a round of its own, so deferral never
-/// becomes starvation.
+/// and are re-solved at a later, smaller decision instead of being
+/// floored onto an already-full device. Bounded bypassing keeps
+/// deferral from becoming starvation.
 ///
-/// Two admission disciplines share the queue/grant vocabulary:
+/// Three schedulers share the queue/grant vocabulary:
 ///
 ///  - RoundScheduler: completion-round-synchronous — every grant of a
 ///    round ends before the next round is solved (the paper's global
@@ -29,7 +26,13 @@
 ///  - ContinuousScheduler: event-driven — in-flight executions keep
 ///    their grants while newly arrived (or requeued sliced) requests
 ///    are admitted into the *residual* capacity at every
-///    arrival/completion event, with no global barrier.
+///    arrival/completion event, with no global barrier;
+///  - StrideScheduler: the same event-driven contract, with stride
+///    scheduling over tenant weights in place of the solver.
+///
+/// Every production solve runs the allocation-free solveFairShares
+/// overload on a scheduler-owned SolverScratch; the two event-driven
+/// schedulers keep their in-flight reservations in one FlightLedger.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -125,12 +128,49 @@ private:
   };
 
   /// Grants \p E a round of its own (K = 1).
-  RoundGrant soloGrant(const Entry &E) const;
+  RoundGrant soloGrant(const Entry &E);
 
   ResourceCaps Caps;
   SolverOptions Opts;
   std::deque<Entry> Queue;
   SchedulerStats Stats;
+  /// Solver buffers reused across rounds.
+  std::vector<KernelDemand> Demands;
+  std::vector<uint64_t> Shares;
+  SolverScratch Scratch;
+};
+
+/// The in-flight reservations of an event-driven scheduler: every
+/// admitted, not-yet-completed execution's demand and granted work
+/// groups, keyed by request Id, plus their aggregate footprint —
+/// maintained by exact adds and subtracts, so the residual capacity is
+/// O(1) instead of a re-sum.
+class FlightLedger {
+public:
+  struct Flight {
+    KernelDemand Demand;
+    uint64_t WGs = 0;
+  };
+
+  /// Reserves \p WGs work groups of \p D for new execution \p Id.
+  void grant(uint64_t Id, const KernelDemand &D, uint64_t WGs);
+  /// Releases execution \p Id's whole reservation.
+  void complete(uint64_t Id);
+  /// Narrows execution \p Id's reservation to the \p WGs it launched.
+  void shrink(uint64_t Id, uint64_t WGs);
+  /// \p Caps minus every reservation, saturating at zero (a solo-rescue
+  /// grant may legitimately exceed the device).
+  ResourceCaps residual(const ResourceCaps &Caps) const;
+
+  const ResourceUse &use() const { return Use; }
+  size_t size() const { return Flights.size(); }
+  bool empty() const { return Flights.empty(); }
+  auto begin() const { return Flights.begin(); }
+  auto end() const { return Flights.end(); }
+
+private:
+  std::map<uint64_t, Flight> Flights;
+  ResourceUse Use;
 };
 
 /// Tuning of the ContinuousScheduler's incremental-solving machinery.
@@ -200,13 +240,13 @@ public:
 
   /// Marks the in-flight execution \p Id complete, returning its
   /// capacity to the pool (a completion event; call admit() next).
-  void complete(uint64_t Id);
+  void complete(uint64_t Id) { Flights.complete(Id); }
 
   /// Narrows the reserved footprint of in-flight execution \p Id to
   /// the \p WGs actually launched. A quantum slice shorter than the
   /// grant runs fewer physical work groups; the difference is idle
   /// capacity the next admission pass may hand out.
-  void shrink(uint64_t Id, uint64_t WGs);
+  void shrink(uint64_t Id, uint64_t WGs) { Flights.shrink(Id, WGs); }
 
   /// Plans admissions for the current event: re-solves fair shares over
   /// everything active (in-flight + pending) and grants each pending
@@ -242,16 +282,6 @@ private:
     RoundRequest R;
     uint32_t DeferCount = 0;
   };
-  /// One admitted, not-yet-completed execution and the footprint it
-  /// holds.
-  struct Flight {
-    KernelDemand Demand;
-    uint64_t WGs = 0;
-  };
-
-  /// Device capacity minus every in-flight footprint (O(1): maintained
-  /// as the FlightUse aggregate, not re-summed).
-  ResourceCaps residual() const;
 
   /// Computes fair-share targets for the queue tail of the current
   /// admission pass into Shares (offset by QueueBase), via a structural
@@ -262,10 +292,7 @@ private:
   SolverOptions Opts;
   SchedulerOptions SchedOpts;
   std::deque<Entry> Queue;
-  std::map<uint64_t, Flight> Flights; ///< Keyed by request Id.
-  /// Aggregate footprint of every in-flight grant; kept in sync by
-  /// admit()/shrink()/complete().
-  ResourceUse FlightUse;
+  FlightLedger Flights;
   /// Aggregate footprint of every queued request at its full
   /// (zero-thread-normalized) size; kept in sync by submit()/admit().
   ResourceUse QueueUse;
@@ -277,9 +304,11 @@ private:
   std::vector<uint64_t> Shares;
   std::vector<size_t> Order;
   std::deque<Entry> Kept;
-  /// Working storage for the allocation-free solver overload, used on
-  /// full solves when SchedOpts.Incremental is set.
+  /// Working storage for the allocation-free solver overload: the
+  /// incremental full solves and every solo rescue. The rescue's share
+  /// lands in its own buffer, never in the pass's Shares targets.
   SolverScratch Scratch;
+  std::vector<uint64_t> RescueShare;
   /// Monotonic lower bound on the WGThreads of every work-carrying
   /// request ever submitted; lets hot paths prove "nothing can fit the
   /// residual" in O(1) (a fit needs at least one slot and at least
@@ -330,11 +359,11 @@ public:
 
   /// Marks the in-flight execution \p Id complete, returning its
   /// capacity to the pool.
-  void complete(uint64_t Id);
+  void complete(uint64_t Id) { Flights.complete(Id); }
 
   /// Narrows the reserved footprint of in-flight execution \p Id (see
   /// ContinuousScheduler::shrink).
-  void shrink(uint64_t Id, uint64_t WGs);
+  void shrink(uint64_t Id, uint64_t WGs) { Flights.shrink(Id, WGs); }
 
   /// Plans admissions for the current event (see class comment). The
   /// returned reference is into a buffer reused by the next call.
@@ -353,10 +382,6 @@ private:
     RoundRequest R;
     uint32_t DeferCount = 0;
   };
-  struct Flight {
-    KernelDemand Demand;
-    uint64_t WGs = 0;
-  };
   struct TenantState {
     double Tickets = 1.0;
     double Stride = Stride1;
@@ -369,8 +394,7 @@ private:
   /// (Pass, tenant) of every tenant with queued work — the min-pass
   /// pick index.
   std::set<std::pair<double, int>> Ready;
-  std::map<uint64_t, Flight> Flights; ///< Keyed by request Id.
-  ResourceUse FlightUse;
+  FlightLedger Flights;
   /// High-water mark of granted passes; re-entry level for idle
   /// tenants.
   double GlobalPass = 0;

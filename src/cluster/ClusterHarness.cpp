@@ -34,18 +34,17 @@ constexpr double PriorObservationWeight = 1.0;
 
 /// The solver options the continuous scheduler runs under:
 /// StreamOptions::StrictShares turns greedy saturation off so admission
-/// targets are pure weighted entitlements, and FullSolveReference pins
-/// the solver to its reference (pre-fast-path) saturation loop.
+/// targets are pure weighted entitlements.
 accelos::SolverOptions solverOptsFor(const StreamOptions &Opts) {
   accelos::SolverOptions SOpts;
   SOpts.GreedySaturation = !Opts.StrictShares;
-  SOpts.FastSaturation = !Opts.FullSolveReference;
   return SOpts;
 }
 
 /// The scheduler options the continuous scheduler runs under:
-/// FullSolveReference disables the incremental fast paths (every
-/// admission pass runs a full share solve — the measurement baseline).
+/// FullSolveReference disables the incremental fast paths, so every
+/// admission pass runs the allocating reference solve (the measurement
+/// baseline).
 accelos::SchedulerOptions schedOptsFor(const StreamOptions &Opts) {
   accelos::SchedulerOptions SO;
   SO.Incremental = !Opts.FullSolveReference;

@@ -188,10 +188,10 @@ struct MigrationOptions {
 };
 
 /// Cluster replay knobs: the single-device streaming options (weights,
-/// quantum, SLO targets/adaptation, strict shares, issue-capacity
-/// clamp) apply per device. Stream.Admission selects each device's
-/// scheduler: Stride runs accelos::StrideScheduler, Continuous (the
-/// default) accelos::ContinuousScheduler. The cluster has no
+/// quantum, SLO targets/adaptation, strict shares) apply per device.
+/// Stream.Admission selects each device's scheduler: Stride runs
+/// accelos::StrideScheduler, Continuous (the default)
+/// accelos::ContinuousScheduler. The cluster has no
 /// round-barrier loop, so RoundSync runs ContinuousScheduler too.
 struct ClusterOptions {
   StreamOptions Stream;

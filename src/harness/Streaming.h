@@ -146,9 +146,6 @@ struct StreamOutcome {
   /// Per-request queueing delays, in trace order.
   std::vector<double> queueDelays() const;
 
-  /// First-dispatch queueing delays grouped by tenant.
-  std::map<int, std::vector<double>> queueDelaysByTenant() const;
-
   /// Aggregate queueing times (StreamRequestResult::queueingExcess)
   /// grouped by tenant — the values SLO attainment and goodput are
   /// judged on (metrics::sloAttainment).
@@ -220,9 +217,9 @@ struct StreamOptions {
   /// device stays as busy as before; what changes is who occupies it.
   bool StrictShares = false;
   /// Measurement baseline for the incremental-admission fast paths
-  /// (continuous accelOS only): run every admission pass through a
-  /// full share solve with the solver's reference saturation loop —
-  /// the exact pre-optimization hot path. Grant histories are
+  /// (continuous accelOS only): run every admission pass through the
+  /// allocating reference solve (accelos::SchedulerOptions::Incremental
+  /// off) — the exact pre-optimization hot path. Grant histories are
   /// bit-identical to the default either way (the fast paths are
   /// exactness-preserving); what changes is the events/sec
   /// bench/serve_scale measures.

@@ -10,15 +10,28 @@
 #include <cstring>
 #include <string>
 
+#include <sys/mman.h>
+
 using namespace accel;
 using namespace accel::kir;
 
 // Address 0 is the null pointer; the first 64 bytes are never handed out.
 static constexpr uint64_t ReservedPrefix = 64;
 
+/// A lazily backed, zero-filled block of \p Bytes (null on failure).
+/// MAP_NORESERVE: a device reserves its whole capacity up front but
+/// touches only what its buffers use.
+static uint8_t *mapZeroed(uint64_t Bytes) {
+  void *P = mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  return P == MAP_FAILED ? nullptr : static_cast<uint8_t *>(P);
+}
+
+void DeviceMemory::Unmap::operator()(uint8_t *P) const { munmap(P, Bytes); }
+
 DeviceMemory::DeviceMemory(uint64_t CapacityBytes)
     : Capacity(CapacityBytes),
-      Storage(static_cast<uint8_t *>(std::calloc(CapacityBytes, 1))) {
+      Storage(mapZeroed(CapacityBytes), Unmap{CapacityBytes}) {
   assert(CapacityBytes > ReservedPrefix && "degenerate device memory");
   if (!Storage)
     reportFatalError(("cannot reserve " + std::to_string(CapacityBytes) +

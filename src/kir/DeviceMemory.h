@@ -19,7 +19,6 @@
 #include "support/Error.h"
 
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <memory>
 
@@ -75,16 +74,20 @@ public:
   void copyOut(uint64_t Addr, void *Dst, uint64_t Size) const;
 
 private:
-  struct FreeStorage {
-    void operator()(uint8_t *P) const { std::free(P); }
+  struct Unmap {
+    uint64_t Bytes = 0;
+    void operator()(uint8_t *P) const;
   };
 
   uint64_t Capacity;
   uint64_t Used = 0;
-  /// One calloc'd block of Capacity bytes. The OS zero-fills its pages
-  /// on first touch, so a device costs resident memory only for the
-  /// pages its allocations actually use.
-  std::unique_ptr<uint8_t[], FreeStorage> Storage;
+  /// One anonymous private mapping of Capacity bytes. The OS zero-fills
+  /// its pages on first touch, so a device costs resident memory only
+  /// for the pages its allocations actually use. A mapping, not calloc:
+  /// ThreadSanitizer's calloc fills the whole block and
+  /// AddressSanitizer writes a shadow byte per eight heap bytes, while
+  /// neither touches an anonymous mapping.
+  std::unique_ptr<uint8_t[], Unmap> Storage;
   // Live allocations: address -> size.
   std::map<uint64_t, uint64_t> Allocations;
   // Free regions: address -> size (coalesced).

@@ -1248,9 +1248,9 @@ TEST(WeightedSaturationTest, SaturationPreservesWeightRatios) {
 //===----------------------------------------------------------------------===//
 
 TEST(SolverInvariantTest, ScratchOverloadMatchesAllocatingSolve) {
-  // The allocation-free overload and the FastSaturation loop both claim
-  // bit-identical shares; sweep randomized demand sets through every
-  // option combination and hold them to it. Half the trials draw
+  // The allocation-free overload claims bit-identical shares to the
+  // reference solve; sweep randomized demand sets through both
+  // saturation settings and hold it to that. Half the trials draw
   // demands from a four-shape pool (many repeats, heavy floors), the
   // regime the clamp's shape-class search and the base-division memo
   // are built for.
@@ -1281,21 +1281,11 @@ TEST(SolverInvariantTest, ScratchOverloadMatchesAllocatingSolve) {
       Ks.push_back(D);
     }
     for (bool Greedy : {false, true}) {
-      SolverOptions Ref;
-      Ref.GreedySaturation = Greedy;
-      Ref.FastSaturation = false;
-      auto Expected = solveFairShares(Caps, Ks, Ref);
-      for (bool Fast : {false, true}) {
-        SolverOptions Opts = Ref;
-        Opts.FastSaturation = Fast;
-        EXPECT_EQ(solveFairShares(Caps, Ks, Opts), Expected)
-            << "trial " << Trial << " greedy " << Greedy << " fast "
-            << Fast;
-        solveFairShares(Caps, Ks, Opts, Scratch, Shares);
-        EXPECT_EQ(Shares, Expected)
-            << "trial " << Trial << " greedy " << Greedy << " fast "
-            << Fast << " (scratch)";
-      }
+      SolverOptions Opts;
+      Opts.GreedySaturation = Greedy;
+      solveFairShares(Caps, Ks, Opts, Scratch, Shares);
+      EXPECT_EQ(Shares, solveFairShares(Caps, Ks, Opts))
+          << "trial " << Trial << " greedy " << Greedy;
     }
   }
 }
@@ -1310,11 +1300,9 @@ TEST(ContinuousSchedulerTest, IncrementalMatchesFullSolveOnEventSoup) {
   // exercise the internal re-solve assertion.
   SplitMix64 Rng(0xD15C0);
   ResourceCaps Caps = tinyCaps();
-  SolverOptions FullOpts;
-  FullOpts.FastSaturation = false;
   SchedulerOptions FullSched;
   FullSched.Incremental = false;
-  ContinuousScheduler Full(Caps, FullOpts, FullSched);
+  ContinuousScheduler Full(Caps, {}, FullSched);
   ContinuousScheduler Inc(Caps);
   SchedulerOptions CheckedSched;
   CheckedSched.SelfCheck = true;

@@ -463,6 +463,25 @@ TEST(RuntimeAsyncTest, WaitOnUnknownRequestFails) {
   EXPECT_NE(E.message().find("unknown request"), std::string::npos);
 }
 
+TEST(RuntimeAsyncTest, InvalidHandlesAndUnknownIdsReportFailed) {
+  // A default-constructed handle names no runtime: polling it must end
+  // and waiting on it must fail cleanly instead of crashing.
+  RequestHandle H;
+  EXPECT_FALSE(H.valid());
+  EXPECT_EQ(H.status(), RequestStatus::Failed);
+  EXPECT_TRUE(H.done());
+  Expected<ScheduledExecution> E = H.wait();
+  ASSERT_FALSE(static_cast<bool>(E));
+  EXPECT_NE(E.message().find("invalid request handle"), std::string::npos);
+
+  // An id the runtime never issued is Failed, as wait() reports it, so
+  // a done() poll loop on it terminates.
+  auto Dev = ocl::Platform::createNvidiaK20m();
+  Runtime RT(*Dev);
+  EXPECT_EQ(RT.status(42), RequestStatus::Failed);
+  EXPECT_TRUE(RT.done(42));
+}
+
 TEST(RuntimeAsyncTest, NonFiniteArrivalTimesAreRejected) {
   sim::DeviceSpec Spec = smallSpec();
   ocl::Device Dev(Spec);
