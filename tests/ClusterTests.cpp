@@ -10,14 +10,14 @@
 /// notifications, alive-mask handling, migration suggestions), the
 /// determinism contract (same trace + fleet + policy + fault plan =>
 /// bit-identical outcomes, migrations and failures included), the
-/// fleet-summed scheduler counters, a committed golden fixture pinning
-/// fault-free replays to the pre-redesign output byte-for-byte (the
-/// single-device case is pinned by StreamingTests' golden fixture, since
-/// runStream and runClosedLoop run this same core), and the resilience
-/// machinery: deterministic fault replay, no-lost-requests while
-/// capacity remains, work conservation across migration and failover,
-/// elastic scale-up, retry-budget exhaustion, and closed-loop scripts
-/// draining through faults.
+/// fleet-summed scheduler counters, committed golden fixtures pinning
+/// fault-free and faulted replays byte-for-byte (the single-device case
+/// is pinned by StreamingTests' golden fixture, since runStream and
+/// runClosedLoop run this same core), and the resilience machinery:
+/// deterministic fault replay, no-lost-requests while capacity remains,
+/// work conservation across migration and failover, elastic scale-up,
+/// retry-budget exhaustion, and closed-loop scripts draining through
+/// faults.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -749,6 +749,166 @@ TEST_F(ClusterTest, ClosedLoopScriptDrainsThroughFaults) {
       harness::runClusterReplay(
           fleet(), *P, ClusterWorkload::closedLoop(Script), Opts);
   expectIdentical(A, B);
+}
+
+TEST_F(ClusterTest, FaultedReplayMatchesGolden) {
+  // The fault-path pin: every scripted-failure mechanism — failover
+  // with migration, parking through a full outage, elastic join, retry
+  // exhaustion, stride admission, sticky affinity with the static
+  // prior, and a closed loop — replays byte-for-byte to the committed
+  // hexfloat fixture, resilience bookkeeping and scheduler counters
+  // included.
+  std::string Got;
+  char Buf[512];
+  auto Add = [&](const char *Fmt, auto... Args) {
+    std::snprintf(Buf, sizeof(Buf), Fmt, Args...);
+    Got += Buf;
+  };
+  auto Emit = [&](const char *Scenario, const ClusterOutcome &O) {
+    Add("scenario %s\n", Scenario);
+    Add("placements %zu", O.Placement.size());
+    for (size_t D : O.Placement)
+      Add(" %zu", D);
+    Add("\nretries %zu", O.Retries.size());
+    for (uint32_t R : O.Retries)
+      Add(" %u", R);
+    Add("\nlost %zu", O.LostRequests.size());
+    for (size_t L : O.LostRequests)
+      Add(" %zu", L);
+    Got += "\n";
+    for (size_t I = 0; I != O.Stream.Requests.size(); ++I) {
+      const StreamRequestResult &R = O.Stream.Requests[I];
+      Add("request %zu %a %a %a %a\n", I, R.ArrivalTime, R.StartTime,
+          R.EndTime, R.AloneDuration);
+    }
+    for (const harness::ClusterFaultRecord &F : O.Faults)
+      Add("fault %zu %a %zu %zu %a\n", F.Device, F.DownTime, F.Displaced,
+          F.Lost, F.RecoveryTime);
+    for (const harness::ClusterMigrationRecord &M : O.Migrations)
+      Add("migration %zu %zu %zu %a %llu %d\n", M.RequestIdx, M.From, M.To,
+          M.Time, static_cast<unsigned long long>(M.RemainingWGs),
+          M.Failover ? 1 : 0);
+    Add("wgs %llu %llu\n", static_cast<unsigned long long>(O.RequestedWGs),
+        static_cast<unsigned long long>(O.ExecutedWGs));
+    for (size_t D = 0; D != O.Devices.size(); ++D) {
+      const harness::ClusterDeviceOutcome &DO = O.Devices[D];
+      Add("device %zu %zu %zu %llu %a %a\n", D, DO.Requests, DO.Rounds,
+          static_cast<unsigned long long>(DO.Deferrals), DO.BusyTime,
+          DO.Utilization);
+    }
+    const StreamOutcome &S = O.Stream;
+    Add("counters %zu %llu %llu %llu %llu %llu\n", S.Rounds,
+        static_cast<unsigned long long>(S.Deferrals),
+        static_cast<unsigned long long>(S.FullSolves),
+        static_cast<unsigned long long>(S.FastPasses),
+        static_cast<unsigned long long>(S.EngineCompletions),
+        static_cast<unsigned long long>(S.WeightUpdates));
+    for (const auto &[Tenant, W] : S.FinalWeights)
+      Add("weight %d %a\n", Tenant, W);
+    Add("makespan %a\nunfairness %a\n", S.Makespan, S.Unfairness);
+  };
+  auto Run = [&](const char *Scenario, PlacementKind K,
+                 const ClusterWorkload &W, const ClusterOptions &Opts) {
+    auto P = makePlacementPolicy(K);
+    Emit(Scenario, harness::runClusterReplay(fleet(), *P, W, Opts));
+  };
+  auto DownUp = [&](size_t Device, double Down, double Up) {
+    return std::vector<FleetEvent>{
+        {.Time = Down * meanDur(), .Device = Device,
+         .What = FleetEvent::Kind::Down},
+        {.Time = Up * meanDur(), .Device = Device,
+         .What = FleetEvent::Kind::Up}};
+  };
+
+  // The AMD device fails and rejoins; migration rebalances around it.
+  std::vector<workloads::TimedRequest> Trace77 = poisson(24, 77);
+  ClusterOptions Migrating = options();
+  Migrating.FleetPlan = DownUp(1, 7.0, 11.0);
+  Migrating.MaxRetries = 8;
+  Migrating.Migration.Enabled = true;
+  Run("amd-down-up-migration", PlacementKind::LeastLoaded,
+      ClusterWorkload::openLoop(Trace77), Migrating);
+
+  // The whole fleet goes dark and one device returns: displaced and
+  // newly arriving requests park, then re-place at the rejoin.
+  std::vector<workloads::TimedRequest> Trace17 = poisson(24, 17);
+  ClusterOptions Parking = options();
+  Parking.MaxRetries = 100;
+  Parking.FleetPlan = {
+      {.Time = 2.0 * meanDur(), .Device = 0, .What = FleetEvent::Kind::Down},
+      {.Time = 2.0 * meanDur(), .Device = 1, .What = FleetEvent::Kind::Down},
+      {.Time = 5.0 * meanDur(), .Device = 0, .What = FleetEvent::Kind::Up}};
+  Run("full-outage-parks", PlacementKind::LeastLoaded,
+      ClusterWorkload::openLoop(Trace17), Parking);
+
+  // No device returns: late arrivals are lost unplaced.
+  ClusterOptions Dark = Parking;
+  Dark.FleetPlan.pop_back();
+  Run("full-outage-loses", PlacementKind::LeastLoaded,
+      ClusterWorkload::openLoop(Trace17), Dark);
+
+  // The AMD device joins mid-replay.
+  std::vector<workloads::TimedRequest> Trace13 = poisson(24, 13);
+  ClusterOptions Joining = options();
+  Joining.FleetPlan = {
+      {.Time = 3.0 * meanDur(), .Device = 1, .What = FleetEvent::Kind::Up}};
+  Run("late-join", PlacementKind::LeastLoaded,
+      ClusterWorkload::openLoop(Trace13), Joining);
+
+  // A zero retry budget loses every displaced request.
+  std::vector<workloads::TimedRequest> Trace3 = poisson(24, 3);
+  ClusterOptions Exhausted = options();
+  Exhausted.MaxRetries = 0;
+  Exhausted.FleetPlan = {
+      {.Time = 2.0 * meanDur(), .Device = 0, .What = FleetEvent::Kind::Down}};
+  Run("retry-exhaustion", PlacementKind::RoundRobin,
+      ClusterWorkload::openLoop(Trace3), Exhausted);
+
+  // Stride admission on every device through an outage.
+  ClusterOptions Stride = options();
+  Stride.Stream.Admission = StreamOptions::AdmissionMode::Stride;
+  Stride.Stream.Weights = {{0, 3.0}};
+  Stride.FleetPlan = DownUp(0, 2.0, 6.0);
+  Stride.MaxRetries = 8;
+  Stride.Migration.Enabled = true;
+  Run("stride-outage", PlacementKind::LeastLoaded,
+      ClusterWorkload::openLoop(Trace77), Stride);
+
+  // Sticky tenants priced by the static prior, through an outage.
+  std::vector<workloads::TimedRequest> Trace5 = poisson(32, 5);
+  ClusterOptions Sticky = options();
+  Sticky.StickyTenantAffinity = true;
+  Sticky.SoloEstimate = harness::SoloEstimateKind::StaticPrior;
+  Sticky.FleetPlan = DownUp(0, 7.0, 10.5);
+  Sticky.MaxRetries = 16;
+  Sticky.Migration.Enabled = true;
+  Sticky.Migration.DivergenceFactor = 1.5;
+  Run("sticky-static-prior", PlacementKind::LeastLoaded,
+      ClusterWorkload::openLoop(Trace5), Sticky);
+
+  // A closed loop with adaptive SLO weights drains across an outage.
+  std::vector<workloads::ClosedLoopTenant> Tenants(3);
+  Tenants[0] = {0, 8, 1, 0.25 * meanDur(), 61, {0, 1, 2, 3}};
+  Tenants[1] = {1, 8, 3, 0.05 * meanDur(), 62, {}};
+  Tenants[2] = {2, 6, 2, 0.50 * meanDur(), 63, {}};
+  workloads::ClosedLoopScript Script = workloads::closedLoopTrace(
+      fleet().driver(0).numKernels(), Tenants);
+  ClusterOptions Closed = options();
+  Closed.MaxRetries = 100;
+  Closed.FleetPlan = DownUp(1, 1.5, 4.0);
+  Closed.Stream.SloTargets = {{0, 0.5 * meanDur()}};
+  Closed.Stream.AdaptiveSloWeights = true;
+  Closed.Stream.SloControlInterval = meanDur();
+  Closed.Stream.SloTuning.MinSamples = 1;
+  Run("closed-loop-outage", PlacementKind::LeastLoaded,
+      ClusterWorkload::closedLoop(Script), Closed);
+
+  std::ifstream In(std::string(ACCEL_SOURCE_DIR) +
+                   "/tests/golden/cluster_faults.golden");
+  ASSERT_TRUE(In.good()) << "golden fixture missing";
+  std::ostringstream Want;
+  Want << In.rdbuf();
+  EXPECT_EQ(Got, Want.str());
 }
 
 } // namespace
