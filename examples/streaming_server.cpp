@@ -36,7 +36,7 @@ int main() {
   // --- Functional view: two tenants, two bursts, one weighted queue. -----
   auto Device = ocl::Platform::createNvidiaK20m();
   accelos::Runtime AccelOS(*Device);
-  AccelOS.setAppWeight(/*AppId=*/1, 3.0); // premium tenant
+  cantFail(AccelOS.setAppWeight(/*AppId=*/1, 3.0)); // premium tenant
 
   const char *Source = R"(
     kernel void axpy(global float* d, float a) {

@@ -43,7 +43,7 @@ int main() {
   for (double Weight : {1.0, 2.0, 3.0, 4.0}) {
     auto Device = ocl::Platform::createNvidiaK20m();
     accelos::Runtime AccelOS(*Device);
-    AccelOS.setAppWeight(/*AppId=*/1, Weight);
+    cantFail(AccelOS.setAppWeight(/*AppId=*/1, Weight));
 
     accelos::ProxyCL Premium(AccelOS, 1), Basic(AccelOS, 2);
     constexpr int N = 64 * 512;

@@ -10,9 +10,9 @@
 /// batch experiments) and the functional Runtime's continuous pump:
 /// quantum-bounded slice sizing, the one builder that turns a grant
 /// into a work-queue slice launch, and the grant -> slice-launch ->
-/// shrink -> admitFrom pass over a scheduler and a persistent engine
-/// session. The API layer and the replay harness admit work through
-/// literally the same code.
+/// shrink -> admitFrom pass over an AdmissionScheduler (continuous or
+/// stride) and a persistent engine session. The API layer and the
+/// replay harness admit work through literally the same code.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,27 +62,23 @@ sim::KernelLaunchDesc sliceLaunch(const KernelDemand &Shape,
 /// every grant is turned into a slice launch by \p MakeSlice(Id, WGs)
 /// and admitted into \p Session through the reused \p LaunchBuf.
 /// MakeSlice returns std::nullopt when the grant carries no launch — a
-/// request with no remaining work retiring at the boundary, or a caller
-/// that failed the request; \p RetireZeroWork(Id) is then called for
-/// the caller's completion bookkeeping. A slice that runs fewer
-/// physical work groups than granted (a quantum tail) returns the
-/// unused reservation via shrink(). \returns true when the pass itself
-/// freed capacity and must re-run at this same instant; each re-pass
-/// needs a fresh shrink, so the caller's loop terminates.
-template <AdmissionScheduler SchedulerT, typename MakeSliceFn,
-          typename RetireZeroFn>
-inline bool runAdmissionPass(SchedulerT &Sched, sim::EngineSession &Session,
+/// request with no remaining work, which MakeSlice retires itself, or a
+/// caller that failed the request. A slice that runs fewer physical
+/// work groups than granted (a quantum tail) returns the unused
+/// reservation via shrink(). \returns true when the pass itself freed
+/// capacity and must re-run at this same instant; each re-pass needs a
+/// fresh shrink, so the caller's loop terminates.
+template <typename MakeSliceFn>
+inline bool runAdmissionPass(AdmissionScheduler &Sched,
+                             sim::EngineSession &Session,
                              std::vector<sim::KernelLaunchDesc> &LaunchBuf,
-                             MakeSliceFn &&MakeSlice,
-                             RetireZeroFn &&RetireZeroWork) {
+                             MakeSliceFn &&MakeSlice) {
   bool Repass = false;
   LaunchBuf.clear();
   for (const RoundGrant &G : Sched.admit()) {
     std::optional<sim::KernelLaunchDesc> L = MakeSlice(G.Id, G.WGs);
-    if (!L) {
-      RetireZeroWork(G.Id);
+    if (!L)
       continue;
-    }
     // A tail slice runs fewer physical WGs than granted; return the
     // unused reservation and re-admit at this same instant so waiting
     // requests can take it.

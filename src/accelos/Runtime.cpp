@@ -116,20 +116,38 @@ Runtime::kernelInfo(const ocl::Program *Prog,
 // Runtime: request submission (FSM (b))
 //===----------------------------------------------------------------------===//
 
-double Runtime::perItemCyclesLocked(const passes::TransformedKernelInfo *Info,
-                                    kir::Function *Comp) {
+KernelCostModel
+Runtime::costModelLocked(const passes::TransformedKernelInfo *Info,
+                         ocl::Kernel &K, const kir::NDRangeCfg &Range) {
+  kir::Function *Comp =
+      K.program().module()->getFunction(Info->ComputeFnName);
   auto It = PerItemOf.find(Info);
-  if (It != PerItemOf.end())
-    return It->second;
-  // Static cost prior (kir/analysis): the per-work-item cycle estimate
-  // that prices this kernel's virtual groups in the timing simulation —
-  // the same prior the cold-start scheduler uses.
-  kir::analysis::Cfg G(*Comp);
-  kir::analysis::UniformityAnalysis UA(G);
-  kir::analysis::IntervalAnalysis IA(G);
-  kir::analysis::CostEstimate Est = kir::analysis::estimateCost(G, UA, IA);
-  PerItemOf[Info] = Est.PerItemCycles;
-  return Est.PerItemCycles;
+  if (It == PerItemOf.end()) {
+    // Static cost prior (kir/analysis): the per-work-item cycle
+    // estimate that prices this kernel's virtual groups in the timing
+    // simulation — the same prior the cold-start scheduler uses.
+    kir::analysis::Cfg G(*Comp);
+    kir::analysis::UniformityAnalysis UA(G);
+    kir::analysis::IntervalAnalysis IA(G);
+    kir::analysis::CostEstimate Est =
+        kir::analysis::estimateCost(G, UA, IA);
+    It = PerItemOf.emplace(Info, Est.PerItemCycles).first;
+  }
+  KernelCostModel M;
+  M.Demand.WGThreads = Range.workGroupSize();
+  M.Demand.LocalMemPerWG =
+      Info->LocalMemBytes + kir::rtlayout::schedDescBytes();
+  M.Demand.RegsPerThread = passes::estimateRegisters(*Comp);
+  M.Demand.RequestedWGs = Range.totalGroups();
+  M.Demand.Weight = 1.0;
+  M.WGCost = It->second * static_cast<double>(M.Demand.WGThreads);
+  M.ComputeInstCount = Info->ComputeInstCount;
+  return M;
+}
+
+double Runtime::weightLocked(int AppId) const {
+  auto It = Weights.find(AppId);
+  return It == Weights.end() ? 1.0 : It->second;
 }
 
 Expected<uint64_t> Runtime::validateLocked(int AppId, ocl::Kernel &K,
@@ -155,25 +173,17 @@ Expected<uint64_t> Runtime::validateLocked(int AppId, ocl::Kernel &K,
 
   // The Sec. 3 demand terms and timing costs, captured at the arrival
   // boundary.
-  kir::Function *Comp =
-      K.program().module()->getFunction(Info->ComputeFnName);
+  KernelCostModel M = costModelLocked(Info, K, Range);
   uint64_t Id = NextRequestId++;
   RequestState R;
   R.AppId = AppId;
   R.Kernel = &K;
   R.Range = Range;
   R.Info = Info;
-  R.InstCount = Info->ComputeInstCount;
-  R.Demand.WGThreads = Range.workGroupSize();
-  R.Demand.LocalMemPerWG =
-      Info->LocalMemBytes + kir::rtlayout::schedDescBytes();
-  R.Demand.RegsPerThread = passes::estimateRegisters(*Comp);
-  R.Demand.RequestedWGs = Range.totalGroups();
-  auto WIt = Weights.find(AppId);
-  R.Demand.Weight = WIt == Weights.end() ? 1.0 : WIt->second;
-  double WGCost = perItemCyclesLocked(Info, Comp) *
-                  static_cast<double>(R.Demand.WGThreads);
-  R.WGCosts.assign(Range.totalGroups(), WGCost);
+  R.InstCount = M.ComputeInstCount;
+  R.Demand = M.Demand;
+  R.Demand.Weight = weightLocked(AppId);
+  R.WGCosts.assign(Range.totalGroups(), M.WGCost);
   R.Cb = std::move(Cb);
   R.Exec.KernelName = K.name();
   R.Exec.AppId = AppId;
@@ -222,6 +232,18 @@ Error Runtime::enqueueKernel(int AppId, ocl::Kernel &K,
   return Error::success();
 }
 
+Error Runtime::setAppWeight(int AppId, double Weight) {
+  // A non-positive weight inverts or zeroes the application's fair
+  // share, and a NaN poisons every solve it joins.
+  if (!(Weight > 0) || !std::isfinite(Weight))
+    return makeError("sharing weight " + std::to_string(Weight) +
+                     " of application " + std::to_string(AppId) +
+                     " is not positive and finite");
+  std::lock_guard<std::mutex> L(Mu);
+  Weights[AppId] = Weight;
+  return Error::success();
+}
+
 void Runtime::onCompletion(CompletionCallback Cb) {
   std::lock_guard<std::mutex> L(Mu);
   GlobalCbs.push_back(std::move(Cb));
@@ -235,19 +257,7 @@ Expected<KernelCostModel> Runtime::costModel(ocl::Kernel &K,
   if (Info == nullptr)
     return Expected<KernelCostModel>(makeError(
         "kernel '" + K.name() + "' was not compiled through accelOS"));
-  kir::Function *Comp =
-      K.program().module()->getFunction(Info->ComputeFnName);
-  KernelCostModel M;
-  M.Demand.WGThreads = Range.workGroupSize();
-  M.Demand.LocalMemPerWG =
-      Info->LocalMemBytes + kir::rtlayout::schedDescBytes();
-  M.Demand.RegsPerThread = passes::estimateRegisters(*Comp);
-  M.Demand.RequestedWGs = Range.totalGroups();
-  M.Demand.Weight = 1.0;
-  M.WGCost = perItemCyclesLocked(Info, Comp) *
-             static_cast<double>(M.Demand.WGThreads);
-  M.ComputeInstCount = Info->ComputeInstCount;
-  return Expected<KernelCostModel>(std::move(M));
+  return Expected<KernelCostModel>(costModelLocked(Info, K, Range));
 }
 
 //===----------------------------------------------------------------------===//
@@ -369,10 +379,8 @@ RoundRequest Runtime::queuedRequestLocked(uint64_t Id) const {
   // A sliced remainder re-reads the application weight, so adaptive
   // weight changes act on in-progress work; the initial submission
   // keeps the weight captured at the arrival boundary.
-  if (R.Started) {
-    auto WIt = Weights.find(R.AppId);
-    RR.Demand.Weight = WIt == Weights.end() ? 1.0 : WIt->second;
-  }
+  if (R.Started)
+    RR.Demand.Weight = weightLocked(R.AppId);
   return RR;
 }
 
@@ -390,8 +398,7 @@ bool Runtime::admissionPassLocked(double T) {
           Freed = true;
         }
         return std::move(O.Launch);
-      },
-      [&](uint64_t) {});
+      });
   return Repass || Freed;
 }
 

@@ -26,11 +26,12 @@
 /// callbacks outside the runtime lock.
 ///
 /// Thread safety: submit()/submitAt()/wait()/drain()/
-/// status()/done()/now()/onCompletion() may be called from multiple
-/// producer threads; one internal mutex serializes the scheduler,
-/// session, and request tables, and any waiting thread drives the pump.
-/// Setup calls (createProgram, kernel/buffer creation, setAppWeight)
-/// are NOT thread-safe — do them before spinning up producers.
+/// status()/done()/now()/onCompletion()/setAppWeight() may be called
+/// from multiple producer threads; one internal mutex serializes the
+/// scheduler, session, request tables and weights, and any waiting
+/// thread drives the pump. Setup calls (createProgram, kernel/buffer
+/// creation) are NOT thread-safe — do them before spinning up
+/// producers.
 /// Callbacks run on whichever thread drives the pump, outside the lock,
 /// so they may re-enter the runtime (e.g. submit follow-up work).
 ///
@@ -243,9 +244,10 @@ public:
 
   /// Sets the sharing weight used for \p AppId's requests (paper
   /// Sec. 2.2: sharing ratios other than equal). Captured at submit
-  /// time; continuous requeues of a sliced request re-read it. Not
-  /// thread-safe (setup path).
-  void setAppWeight(int AppId, double Weight) { Weights[AppId] = Weight; }
+  /// time; continuous requeues of a sliced request re-read it. A
+  /// non-positive or non-finite weight is rejected with an error and
+  /// leaves the current weight in place. Thread-safe.
+  Error setAppWeight(int AppId, double Weight);
 
   /// Registers a callback fired for every successfully retired request
   /// (in addition to any per-submit callback). Thread-safe.
@@ -330,8 +332,13 @@ private:
   Expected<uint64_t> validateLocked(int AppId, ocl::Kernel &K,
                                     const kir::NDRangeCfg &Range, double At,
                                     CompletionCallback Cb);
-  double perItemCyclesLocked(const passes::TransformedKernelInfo *Info,
-                             kir::Function *Comp);
+  /// The demand (unit weight) and per-virtual-group cost of running
+  /// \p K over \p Range — what submission and costModel() both read.
+  KernelCostModel costModelLocked(const passes::TransformedKernelInfo *Info,
+                                  ocl::Kernel &K,
+                                  const kir::NDRangeCfg &Range);
+  /// \p AppId's sharing weight (1 unless set).
+  double weightLocked(int AppId) const;
 
   /// One pump step; \returns false when the runtime is idle.
   bool stepLocked();

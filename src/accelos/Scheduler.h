@@ -30,9 +30,13 @@
 ///  - StrideScheduler: the same event-driven contract, with stride
 ///    scheduling over tenant weights in place of the solver.
 ///
-/// Every production solve runs the allocation-free solveFairShares
-/// overload on a scheduler-owned SolverScratch; the two event-driven
-/// schedulers keep their in-flight reservations in one FlightLedger.
+/// The two event-driven schedulers are the final subclasses of the
+/// AdmissionScheduler base class, which owns what they share: the
+/// device caps, the FlightLedger of in-flight reservations, the
+/// decision counters and the grant buffer. The continuous serving
+/// loops hold an AdmissionScheduler, so one compiled loop drives
+/// either policy. Every production solve runs the allocation-free
+/// solveFairShares overload on a scheduler-owned SolverScratch.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +45,6 @@
 
 #include "accelos/ResourceSolver.h"
 
-#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -173,6 +176,61 @@ private:
   ResourceUse Use;
 };
 
+/// The event-driven admission contract of the continuous serving loops
+/// — the cluster replay core behind harness::runStream /
+/// runClosedLoop / runClusterReplay, and the Runtime's pump: queue a
+/// request, plan the grants of one admission event, narrow or release
+/// an in-flight reservation, drop the queue when its device dies, and
+/// report the decision counters. The base owns the in-flight ledger,
+/// the counters and the grant buffer; a policy supplies the queue and
+/// the grant decision.
+class AdmissionScheduler {
+public:
+  /// A pending request bypassed this many times blocks younger grants.
+  static constexpr uint32_t MaxDeferrals = RoundScheduler::MaxDeferrals;
+
+  virtual ~AdmissionScheduler() = default;
+
+  /// Queues a request (an arrival event; call admit() to act on it).
+  virtual void submit(const RoundRequest &R) = 0;
+
+  /// Plans admissions for the current event. The returned reference is
+  /// into a buffer reused by the next call — consume (or copy) it
+  /// before then.
+  virtual const std::vector<RoundGrant> &admit() = 0;
+
+  /// Drops every pending request (error recovery, or a device loss);
+  /// in-flight executions keep their grants.
+  virtual void clear() = 0;
+
+  virtual size_t pending() const = 0;
+
+  /// Marks the in-flight execution \p Id complete, returning its
+  /// capacity to the pool (a completion event; call admit() next).
+  void complete(uint64_t Id) { Flights.complete(Id); }
+
+  /// Narrows the reserved footprint of in-flight execution \p Id to
+  /// the \p WGs actually launched. A quantum slice shorter than the
+  /// grant runs fewer physical work groups; the difference is idle
+  /// capacity the next admission pass may hand out.
+  void shrink(uint64_t Id, uint64_t WGs) { Flights.shrink(Id, WGs); }
+
+  size_t inFlight() const { return Flights.size(); }
+  const SchedulerStats &stats() const { return Stats; }
+
+protected:
+  explicit AdmissionScheduler(const ResourceCaps &Caps) : Caps(Caps) {}
+  AdmissionScheduler(const AdmissionScheduler &) = default;
+  AdmissionScheduler(AdmissionScheduler &&) = default;
+  AdmissionScheduler &operator=(const AdmissionScheduler &) = default;
+  AdmissionScheduler &operator=(AdmissionScheduler &&) = default;
+
+  ResourceCaps Caps;
+  FlightLedger Flights;
+  SchedulerStats Stats;
+  std::vector<RoundGrant> Grants; ///< admit()'s result, reused.
+};
+
 /// Tuning of the ContinuousScheduler's incremental-solving machinery.
 struct SchedulerOptions {
   /// Serve admission passes through the structural fast paths when they
@@ -225,28 +283,14 @@ struct SchedulerOptions {
 /// stats().FullSolves / FastPasses count the split, and
 /// SchedulerOptions::SelfCheck re-derives every fast-path result with a
 /// fresh solve and asserts equality (debug builds).
-class ContinuousScheduler {
+class ContinuousScheduler final : public AdmissionScheduler {
 public:
-  /// A request overtaken this many times blocks younger admissions.
-  static constexpr uint32_t MaxDeferrals = RoundScheduler::MaxDeferrals;
-
   explicit ContinuousScheduler(const ResourceCaps &Caps,
                                SolverOptions Opts = {},
                                SchedulerOptions SchedOpts = {})
-      : Caps(Caps), Opts(Opts), SchedOpts(SchedOpts) {}
+      : AdmissionScheduler(Caps), Opts(Opts), SchedOpts(SchedOpts) {}
 
-  /// Queues a request (an arrival event; call admit() to act on it).
-  void submit(const RoundRequest &R);
-
-  /// Marks the in-flight execution \p Id complete, returning its
-  /// capacity to the pool (a completion event; call admit() next).
-  void complete(uint64_t Id) { Flights.complete(Id); }
-
-  /// Narrows the reserved footprint of in-flight execution \p Id to
-  /// the \p WGs actually launched. A quantum slice shorter than the
-  /// grant runs fewer physical work groups; the difference is idle
-  /// capacity the next admission pass may hand out.
-  void shrink(uint64_t Id, uint64_t WGs) { Flights.shrink(Id, WGs); }
+  void submit(const RoundRequest &R) override;
 
   /// Plans admissions for the current event: re-solves fair shares over
   /// everything active (in-flight + pending) and grants each pending
@@ -261,18 +305,11 @@ public:
   /// groups and leave the queue immediately. An idle device never
   /// refuses its oldest request (work conservation), even when the
   /// clamp shed it.
-  ///
-  /// The returned reference is into a buffer reused by the next admit()
-  /// call — consume (or copy) it before then.
-  const std::vector<RoundGrant> &admit();
+  const std::vector<RoundGrant> &admit() override;
 
-  size_t pending() const { return Queue.size(); }
-  size_t inFlight() const { return Flights.size(); }
-  const SchedulerStats &stats() const { return Stats; }
+  size_t pending() const override { return Queue.size(); }
 
-  /// Drops every pending request (error recovery); in-flight
-  /// executions are unaffected.
-  void clear() {
+  void clear() override {
     Queue.clear();
     QueueUse = ResourceUse{};
   }
@@ -288,18 +325,14 @@ private:
   /// fast path when one applies, else a full solve.
   void solveTargets(size_t QueueBase);
 
-  ResourceCaps Caps;
   SolverOptions Opts;
   SchedulerOptions SchedOpts;
   std::deque<Entry> Queue;
-  FlightLedger Flights;
   /// Aggregate footprint of every queued request at its full
   /// (zero-thread-normalized) size; kept in sync by submit()/admit().
   ResourceUse QueueUse;
-  SchedulerStats Stats;
   /// Scratch reused across admission passes (allocation-free steady
   /// state on the serving hot path).
-  std::vector<RoundGrant> Grants;
   std::vector<KernelDemand> Demands;
   std::vector<uint64_t> Shares;
   std::vector<size_t> Order;
@@ -330,8 +363,8 @@ private:
 /// over *time* — a weight-2 tenant is picked twice as often — rather
 /// than through per-event share re-solving.
 ///
-/// Models AdmissionScheduler like ContinuousScheduler, so the serving
-/// loops drive either through the same template code. Fairness is
+/// An AdmissionScheduler like ContinuousScheduler, so the serving loops
+/// drive either through the same compiled code. Fairness is
 /// approximate: serve_scale gates its peak windowed unfairness within 2x
 /// of the exact solver's while admission passes stay O(grants * log
 /// tenants).
@@ -342,40 +375,28 @@ private:
 /// pick order, so bypassing is doubly bounded. New or reactivated
 /// tenants join at max(own pass, global pass) — the standard stride
 /// re-entry rule — so sleeping never banks credit.
-class StrideScheduler {
+class StrideScheduler final : public AdmissionScheduler {
 public:
-  static constexpr uint32_t MaxDeferrals = RoundScheduler::MaxDeferrals;
   /// Stride numerator (stride = Stride1 / tickets, in doubles — exact
   /// for every power-of-two-free weight ratio that matters here, and
   /// deterministic regardless).
   static constexpr double Stride1 = 1 << 20;
 
-  explicit StrideScheduler(const ResourceCaps &Caps) : Caps(Caps) {}
+  explicit StrideScheduler(const ResourceCaps &Caps)
+      : AdmissionScheduler(Caps) {}
 
-  /// Queues a request under R.Tenant's account (an arrival event). The
-  /// tenant's tickets are refreshed from R.Demand.Weight, so adaptive
-  /// weight changes take effect on the next submission.
-  void submit(const RoundRequest &R);
+  /// Queues a request under R.Tenant's account. The tenant's tickets
+  /// are refreshed from R.Demand.Weight, so adaptive weight changes
+  /// take effect on the next submission.
+  void submit(const RoundRequest &R) override;
 
-  /// Marks the in-flight execution \p Id complete, returning its
-  /// capacity to the pool.
-  void complete(uint64_t Id) { Flights.complete(Id); }
+  /// Plans admissions for the current event (see class comment).
+  const std::vector<RoundGrant> &admit() override;
 
-  /// Narrows the reserved footprint of in-flight execution \p Id (see
-  /// ContinuousScheduler::shrink).
-  void shrink(uint64_t Id, uint64_t WGs) { Flights.shrink(Id, WGs); }
+  size_t pending() const override { return Pending; }
 
-  /// Plans admissions for the current event (see class comment). The
-  /// returned reference is into a buffer reused by the next call.
-  const std::vector<RoundGrant> &admit();
-
-  size_t pending() const { return Pending; }
-  size_t inFlight() const { return Flights.size(); }
-  const SchedulerStats &stats() const { return Stats; }
-
-  /// Drops every pending request (error recovery); in-flight
-  /// executions keep their grants, tenants keep their pass values.
-  void clear();
+  /// Tenants keep their pass values across a clear().
+  void clear() override;
 
 private:
   struct Entry {
@@ -389,40 +410,16 @@ private:
     std::deque<Entry> Queue;
   };
 
-  ResourceCaps Caps;
   std::map<int, TenantState> Tenants;
   /// (Pass, tenant) of every tenant with queued work — the min-pass
   /// pick index.
   std::set<std::pair<double, int>> Ready;
-  FlightLedger Flights;
   /// High-water mark of granted passes; re-entry level for idle
   /// tenants.
   double GlobalPass = 0;
   size_t Pending = 0;
-  SchedulerStats Stats;
-  std::vector<RoundGrant> Grants;  ///< Reused across passes.
-  std::vector<int> Skipped;        ///< Pass-local scratch.
+  std::vector<int> Skipped; ///< Pass-local scratch.
 };
-
-/// What the continuous serving loops — the cluster replay core behind
-/// harness::runStream / runClosedLoop / runClusterReplay, and the
-/// Runtime's pump — need of an event-driven admission scheduler: queue
-/// a request, plan the grants of one admission event, narrow or release
-/// an in-flight reservation, drop the queue when its device dies, and
-/// report the decision counters.
-template <typename S>
-concept AdmissionScheduler =
-    requires(S &Sched, const S &Const, const RoundRequest &R, uint64_t Id) {
-      Sched.submit(R);
-      Sched.complete(Id);
-      Sched.shrink(Id, Id);
-      { Sched.admit() } -> std::same_as<const std::vector<RoundGrant> &>;
-      Sched.clear();
-      { Const.stats() } -> std::same_as<const SchedulerStats &>;
-    };
-
-static_assert(AdmissionScheduler<ContinuousScheduler>);
-static_assert(AdmissionScheduler<StrideScheduler>);
 
 /// Tuning of the SLO weight controller. Like AdaptivePolicy.h's batch
 /// thresholds these are policy constants, not per-request knobs; the

@@ -13,8 +13,8 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <memory>
 #include <optional>
-#include <type_traits>
 
 using namespace accel;
 using namespace accel::harness;
@@ -32,23 +32,23 @@ constexpr size_t NoFault = static_cast<size_t>(-1);
 /// estimate = (Prior * Weight + sum(observed)) / (Weight + count).
 constexpr double PriorObservationWeight = 1.0;
 
-/// The solver options the continuous scheduler runs under:
-/// StreamOptions::StrictShares turns greedy saturation off so admission
-/// targets are pure weighted entitlements.
-accelos::SolverOptions solverOptsFor(const StreamOptions &Opts) {
+/// The admission scheduler each device runs under \p Opts: stride
+/// scheduling when Admission is Stride, else the fair-share solve (the
+/// cluster has no round-barrier loop, so RoundSync admits continuously
+/// too). StrictShares turns greedy saturation off so admission targets
+/// are pure weighted entitlements; FullSolveReference disables the
+/// incremental fast paths, so every admission pass runs the allocating
+/// reference solve (the measurement baseline).
+std::unique_ptr<accelos::AdmissionScheduler>
+makeScheduler(const StreamOptions &Opts, const accelos::ResourceCaps &Caps) {
+  if (Opts.Admission == StreamOptions::AdmissionMode::Stride)
+    return std::make_unique<accelos::StrideScheduler>(Caps);
   accelos::SolverOptions SOpts;
   SOpts.GreedySaturation = !Opts.StrictShares;
-  return SOpts;
-}
-
-/// The scheduler options the continuous scheduler runs under:
-/// FullSolveReference disables the incremental fast paths, so every
-/// admission pass runs the allocating reference solve (the measurement
-/// baseline).
-accelos::SchedulerOptions schedOptsFor(const StreamOptions &Opts) {
-  accelos::SchedulerOptions SO;
-  SO.Incremental = !Opts.FullSolveReference;
-  return SO;
+  accelos::SchedulerOptions SchedOpts;
+  SchedOpts.Incremental = !Opts.FullSolveReference;
+  return std::make_unique<accelos::ContinuousScheduler>(Caps, SOpts,
+                                                        SchedOpts);
 }
 
 /// The merged-clock replay over N per-device admission schedulers —
@@ -60,14 +60,14 @@ accelos::SchedulerOptions schedOptsFor(const StreamOptions &Opts) {
 /// completions (and, at those quantum-slice boundaries, deciding
 /// migrations). With N == 1 and an empty fleet plan it is the
 /// single-device continuous replay of runStream / runClosedLoop.
-template <accelos::AdmissionScheduler SchedulerT> class ClusterReplay {
+class ClusterReplay {
   /// One fleet member's live serving state. Outstanding work lives in
   /// the policy's load view (PlacementPolicy::loads()) — the lifecycle
   /// notifications keep it current, and the replay reads it back for
   /// migration decisions instead of keeping a second tally.
   struct DeviceState {
-    std::optional<sim::EngineSession> Session;
-    std::optional<SchedulerT> Sched;
+    sim::EngineSession Session;
+    std::unique_ptr<accelos::AdmissionScheduler> Sched;
     /// An admission pass is pending (an arrival or completion changed
     /// this device's queue or residual capacity). Starts true: the
     /// first iteration always runs a pass.
@@ -78,6 +78,23 @@ template <accelos::AdmissionScheduler SchedulerT> class ClusterReplay {
     bool Alive = true;
     double BusyTime = 0;
     size_t PlacedRequests = 0;
+  };
+
+  /// One request's binding and settlement state, parallel to RS.Trace.
+  /// Its last binding is ClusterOutcome::Placement.
+  struct RequestRecord {
+    /// Serving device; the fleet size while unbound (parked or lost
+    /// unplaced).
+    size_t Device = 0;
+    /// Remaining cost counted into the policy's load view for Device.
+    double Accounted = 0;
+    /// Slice cursor already counted into ClusterOutcome::ExecutedWGs —
+    /// the work-conservation ledger.
+    size_t CountedWGs = 0;
+    /// Fault whose recovery waits on this request, or NoFault.
+    size_t PendingFault = NoFault;
+    uint32_t Migrations = 0; ///< Voluntary migrations so far.
+    bool Settled = false;    ///< Finished or lost.
   };
 
 public:
@@ -105,20 +122,15 @@ public:
           Alive[E.Device] = false;
       }
     }
-    Devices.resize(Members.size());
+    Devices.reserve(Members.size());
     std::vector<double> Rates(Members.size());
     for (size_t D = 0; D != Members.size(); ++D) {
       const sim::DeviceSpec &Spec = driver(D).device();
-      Devices[D].Alive = Alive[D];
-      Devices[D].Session.emplace(Spec);
-      const accelos::ResourceCaps Caps =
-          accelos::ResourceCaps::fromDevice(Spec);
-      if constexpr (std::is_same_v<SchedulerT, accelos::StrideScheduler>)
-        Devices[D].Sched.emplace(Caps);
-      else
-        Devices[D].Sched.emplace(Caps,
-                                 solverOptsFor(Opts.Stream),
-                                 schedOptsFor(Opts.Stream));
+      Devices.push_back(
+          {.Session = sim::EngineSession(Spec),
+           .Sched = makeScheduler(Opts.Stream,
+                                  accelos::ResourceCaps::fromDevice(Spec)),
+           .Alive = Alive[D]});
       Rates[D] = Members[D].ServiceRate;
     }
     Policy.attach(std::move(Rates), Alive);
@@ -131,9 +143,39 @@ public:
     }
   }
 
-  ReplayState RS;
-  ArrivalSource &Source;
-  size_t Completed = 0;
+  /// Drives the merged clock until every request of the source has
+  /// finished or been lost, then folds the outcome.
+  void run() {
+    const size_t Total = Source.total();
+    double Now = 0;
+    while (Completed != Total) {
+      double T = Now;
+      applyPlan(T);
+      while (!Source.empty() && Source.nextTime() <= T)
+        arrive(T);
+      if (Completed == Total)
+        break; // The last arrivals were all lost at this instant.
+
+      admitAll(T);
+
+      double NextEvent = nextFleetEvent();
+      double NextInput = Source.empty() ? -1 : Source.nextTime();
+      double NextPlan = nextPlanTime();
+      double Target = NextEvent;
+      if (Target < 0 || (NextInput >= 0 && NextInput < Target))
+        Target = NextInput;
+      if (Target < 0 || (NextPlan >= 0 && NextPlan < Target))
+        Target = NextPlan;
+      assert(Target >= 0 && "replay stalled with unfinished requests");
+      advanceAll(T, Target);
+      Now = std::max(Target, T);
+    }
+    assert(RS.Trace.size() == Total && "workload not fully replayed");
+    finalize();
+  }
+
+private:
+  ExperimentDriver &driver(size_t D) const { return *Members[D].Driver; }
 
   bool anyAlive() const {
     for (const DeviceState &DS : Devices)
@@ -190,16 +232,24 @@ public:
   }
 
   /// Runs the pending admission passes of every in-service device, in
-  /// fleet order.
+  /// fleet order: each grant becomes a quantum-bounded slice launch,
+  /// and a request with no remaining work retires at the boundary
+  /// without occupying the device.
   void admitAll(double T) {
-    for (size_t D = 0; D != Devices.size(); ++D) {
-      DeviceState &DS = Devices[D];
+    for (DeviceState &DS : Devices) {
       if (!DS.Alive)
         continue;
       while (DS.NeedAdmit)
-        DS.NeedAdmit = detail::admissionPass(
-            *DS.Sched, *DS.Session, RS, T,
-            [&](size_t Idx) { retire(Idx, T); });
+        DS.NeedAdmit = accelos::runAdmissionPass(
+            *DS.Sched, DS.Session, RS.LaunchBuf,
+            [&](uint64_t Id,
+                uint64_t WGs) -> std::optional<sim::KernelLaunchDesc> {
+              size_t Idx = static_cast<size_t>(Id);
+              if (RS.remainingGroups(Idx) != 0)
+                return RS.makeSliceLaunch(Idx, WGs, T);
+              retire(Idx, T);
+              return std::nullopt;
+            });
     }
   }
 
@@ -209,7 +259,7 @@ public:
   double nextFleetEvent() {
     double Next = -1;
     for (DeviceState &DS : Devices) {
-      double E = DS.Session->nextEventTime();
+      double E = DS.Session.nextEventTime();
       if (E >= 0 && (Next < 0 || E < Next))
         Next = E;
     }
@@ -224,9 +274,9 @@ public:
     double NewNow = std::max(Target, T);
     for (size_t D = 0; D != Devices.size(); ++D) {
       DeviceState &DS = Devices[D];
-      if (DS.Session->inFlight() > 0)
+      if (DS.Session.inFlight() > 0)
         DS.BusyTime += NewNow - T;
-      DS.Session->advanceTo(NewNow, RS.CompletionBuf);
+      DS.Session.advanceTo(NewNow, RS.CompletionBuf);
       for (const sim::KernelExecResult &K : RS.CompletionBuf) {
         size_t Idx = static_cast<size_t>(K.AppId);
         LiveRequest &LR = RS.Live[Idx];
@@ -240,12 +290,13 @@ public:
         ++Out.Stream.EngineCompletions;
         // Settle the drained work into the policy's load view and the
         // conservation ledger.
+        RequestRecord &Rec = Reqs[Idx];
         double Remaining = RS.remainingCost(Idx);
         bool Finished = RS.remainingGroups(Idx) == 0;
-        Policy.completeOn(D, Accounted[Idx] - Remaining, Finished);
-        Accounted[Idx] = Remaining;
-        Out.ExecutedWGs += LR.Cursor - CountedWGs[Idx];
-        CountedWGs[Idx] = LR.Cursor;
+        Policy.completeOn(D, Rec.Accounted - Remaining, Finished);
+        Rec.Accounted = Remaining;
+        Out.ExecutedWGs += LR.Cursor - Rec.CountedWGs;
+        Rec.CountedWGs = LR.Cursor;
         if (!Finished) {
           // Sliced: a quantum boundary. Either the policy steals the
           // remainder for an underloaded device, or it requeues on the
@@ -253,10 +304,7 @@ public:
           if (!maybeMigrate(Idx, D, K.EndTime))
             submit(Idx, D);
         } else {
-          Out.Stream.Requests[Idx].StartTime = LR.Start;
-          Out.Stream.Requests[Idx].EndTime = LR.End;
-          FinishedFlag[Idx] = true;
-          finish(Idx, LR.End);
+          finish(Idx);
         }
       }
     }
@@ -286,26 +334,17 @@ public:
     }
   }
 
-private:
-  ExperimentDriver &driver(size_t D) const { return *Members[D].Driver; }
-
   void submit(size_t Idx, size_t D) {
-    detail::submitRequest(*Devices[D].Sched, RS, Idx);
+    Devices[D].Sched->submit(RS.roundRequest(Idx));
   }
 
-  /// Grows every per-request bookkeeping vector for newly materialized
-  /// request \p Idx and counts its work into the conservation ledger.
+  /// Opens the records of newly materialized request \p Idx, unbound,
+  /// and counts its work into the conservation ledger.
   void registerRequest(size_t Idx) {
-    assert(Idx == DeviceOf.size() && "requests register in trace order");
+    assert(Idx == Reqs.size() && "requests register in trace order");
     Out.Placement.push_back(Members.size());
     Out.Retries.push_back(0);
-    DeviceOf.push_back(Members.size());
-    PrevDeviceOf.push_back(Members.size());
-    Accounted.push_back(0);
-    FinishedFlag.push_back(false);
-    CountedWGs.push_back(0);
-    MigrationsOf.push_back(0);
-    PendingFaultOf.push_back(NoFault);
+    Reqs.push_back({.Device = Members.size()});
     Out.RequestedWGs += RS.remainingGroups(Idx);
   }
 
@@ -318,13 +357,7 @@ private:
       if (It != Affinity.end() && Devices[It->second].Alive)
         return It->second;
     }
-    fillSolo(KernelIdx);
-    cluster::PlacementRequest Req;
-    Req.Tenant = Tenant;
-    Req.KernelIdx = KernelIdx;
-    Req.ArrivalTime = ArrivalTime;
-    Req.SoloDurations = &SoloBuf;
-    size_t D = Policy.place(Req);
+    size_t D = Policy.place(query(Tenant, KernelIdx, ArrivalTime));
     assert(D < Devices.size() && "policy placed outside the fleet");
     assert(Devices[D].Alive &&
            "policy placed on an out-of-service device");
@@ -333,16 +366,31 @@ private:
     return D;
   }
 
-  /// First binding of materialized request \p Idx to device \p D.
-  void commit(size_t Idx, size_t D) {
+  /// Binds unbound request \p Idx to device \p D: its remaining cost
+  /// enters \p D's load view and its remaining range \p D's admission.
+  void bind(size_t Idx, size_t D) {
+    RequestRecord &Rec = Reqs[Idx];
     Out.Placement[Idx] = D;
-    DeviceOf[Idx] = D;
-    double Cost = RS.remainingCost(Idx);
-    Accounted[Idx] = Cost;
-    Policy.admitTo(D, Cost);
-    ++Devices[D].PlacedRequests;
+    Rec.Device = D;
+    Rec.Accounted = RS.remainingCost(Idx);
+    Policy.admitTo(D, Rec.Accounted);
     submit(Idx, D);
     Devices[D].NeedAdmit = true;
+  }
+
+  /// Withdraws request \p Idx's remaining cost from its device's load
+  /// view and leaves it unbound.
+  void unbind(size_t Idx) {
+    RequestRecord &Rec = Reqs[Idx];
+    Policy.withdrawFrom(Rec.Device, Rec.Accounted);
+    Rec.Accounted = 0;
+    Rec.Device = Members.size();
+  }
+
+  /// First binding of materialized request \p Idx to device \p D.
+  void commit(size_t Idx, size_t D) {
+    ++Devices[D].PlacedRequests;
+    bind(Idx, D);
   }
 
   /// Re-binds an unbound request (failover target, unparked, or
@@ -351,21 +399,13 @@ private:
   void rebind(size_t Idx, size_t From, size_t To, double T,
               bool Failover) {
     RS.rehome(Idx, driver(To));
-    DeviceOf[Idx] = To;
-    Out.Placement[Idx] = To;
-    double Cost = RS.remainingCost(Idx);
-    Accounted[Idx] = Cost;
-    Policy.admitTo(To, Cost);
-    ClusterMigrationRecord MR;
-    MR.RequestIdx = Idx;
-    MR.From = From;
-    MR.To = To;
-    MR.Time = T;
-    MR.RemainingWGs = RS.remainingGroups(Idx);
-    MR.Failover = Failover;
-    Out.Migrations.push_back(MR);
-    submit(Idx, To);
-    Devices[To].NeedAdmit = true;
+    Out.Migrations.push_back({.RequestIdx = Idx,
+                              .From = From,
+                              .To = To,
+                              .Time = T,
+                              .RemainingWGs = RS.remainingGroups(Idx),
+                              .Failover = Failover});
+    bind(Idx, To);
   }
 
   /// Fail-stop loss of device \p D at merged time \p T: cancel its
@@ -380,15 +420,12 @@ private:
     DS.Alive = false;
     Policy.deviceDown(D);
     size_t FaultIdx = Out.Faults.size();
-    ClusterFaultRecord FR;
-    FR.Device = D;
-    FR.DownTime = T;
-    Out.Faults.push_back(FR);
+    Out.Faults.push_back({.Device = D, .DownTime = T});
     FaultLive.push_back(0);
     // The partial slice work is discarded with the device (fail-stop);
     // each cancelled launch releases its scheduler flight and returns
     // its virtual window to the request's remaining range.
-    for (sim::KernelLaunchDesc &L : DS.Session->cancelAll()) {
+    for (sim::KernelLaunchDesc &L : DS.Session.cancelAll()) {
       size_t Idx = static_cast<size_t>(L.AppId);
       DS.Sched->complete(Idx);
       RS.rollbackSlice(Idx, L.ViewBegin);
@@ -396,13 +433,10 @@ private:
     DS.Sched->clear(); // Queued-but-unadmitted requests.
     DS.NeedAdmit = false;
     // Displace in request-index order: determinism over map order.
-    for (size_t Idx = 0; Idx != DeviceOf.size(); ++Idx) {
-      if (DeviceOf[Idx] != D || FinishedFlag[Idx])
+    for (size_t Idx = 0; Idx != Reqs.size(); ++Idx) {
+      if (Reqs[Idx].Device != D || Reqs[Idx].Settled)
         continue;
-      Policy.withdrawFrom(D, Accounted[Idx]);
-      Accounted[Idx] = 0;
-      PrevDeviceOf[Idx] = D;
-      DeviceOf[Idx] = Members.size();
+      unbind(Idx);
       ++Out.Faults[FaultIdx].Displaced;
       attachFault(Idx, FaultIdx, T);
       if (++Out.Retries[Idx] > Opts.MaxRetries) {
@@ -436,13 +470,15 @@ private:
     for (size_t Idx : Waiting) {
       const workloads::TimedRequest &R = RS.Trace[Idx];
       size_t To = decide(R.Tenant, R.KernelIdx, T);
-      if (Out.Placement[Idx] == Members.size()) {
+      size_t From = Out.Placement[Idx];
+      if (From == Members.size()) {
         // Arrived during a full outage and was never placed: this is
         // its first placement, not a migration.
         RS.rehome(Idx, driver(To));
         commit(Idx, To);
       } else {
-        rebind(Idx, PrevDeviceOf[Idx], To, T, /*Failover=*/true);
+        // Displaced while bound to From, its last placement.
+        rebind(Idx, From, To, T, /*Failover=*/true);
       }
     }
   }
@@ -454,7 +490,7 @@ private:
   /// (it was submitted to the target).
   bool maybeMigrate(size_t Idx, size_t D, double At) {
     const MigrationOptions &M = Opts.Migration;
-    if (!M.Enabled || MigrationsOf[Idx] >= M.MaxPerRequest)
+    if (!M.Enabled || Reqs[Idx].Migrations >= M.MaxPerRequest)
       return false;
     const std::vector<cluster::DeviceLoad> &Loads = Policy.loads();
     double OthersSum = 0;
@@ -476,23 +512,14 @@ private:
     size_t RemainingGroups = RS.remainingGroups(Idx);
     double Frac = static_cast<double>(RemainingGroups) /
                   static_cast<double>(RemainingGroups + RS.Live[Idx].Cursor);
-    fillSolo(R.KernelIdx);
-    for (double &S : SoloBuf)
-      S *= Frac;
-    cluster::PlacementRequest Req;
-    Req.Tenant = R.Tenant;
-    Req.KernelIdx = R.KernelIdx;
-    Req.ArrivalTime = At;
-    Req.SoloDurations = &SoloBuf;
-    std::optional<size_t> To = Policy.suggestMigration(Req, D);
+    std::optional<size_t> To =
+        Policy.suggestMigration(query(R.Tenant, R.KernelIdx, At, Frac), D);
     if (!To || *To == D)
       return false;
     assert(*To < Devices.size() && Devices[*To].Alive &&
            "policy suggested an out-of-service device");
-    Policy.withdrawFrom(D, Accounted[Idx]);
-    Accounted[Idx] = 0;
-    PrevDeviceOf[Idx] = D;
-    ++MigrationsOf[Idx];
+    unbind(Idx);
+    ++Reqs[Idx].Migrations;
     // The tenant's home moves with its migrated request.
     if (Opts.StickyTenantAffinity)
       Affinity[R.Tenant] = *To;
@@ -505,12 +532,15 @@ private:
     return L.OutstandingCost / Rate;
   }
 
-  /// Fills the reusable per-device solo-estimate buffer for one
-  /// decision about \p KernelIdx.
-  void fillSolo(size_t KernelIdx) {
+  /// The placement query for \p Tenant's kernel \p KernelIdx at \p At:
+  /// its per-device solo estimates, scaled by the unexecuted fraction
+  /// \p Frac of its range, land in the reused SoloBuf.
+  cluster::PlacementRequest query(int Tenant, size_t KernelIdx, double At,
+                                  double Frac = 1.0) {
     SoloBuf.resize(Devices.size());
     for (size_t D = 0; D != Devices.size(); ++D)
-      SoloBuf[D] = soloEstimate(D, KernelIdx);
+      SoloBuf[D] = soloEstimate(D, KernelIdx) * Frac;
+    return {Tenant, KernelIdx, At, &SoloBuf};
   }
 
   /// The solo-duration estimate the placement policy sees for kernel
@@ -538,20 +568,30 @@ private:
   /// tracking (releasing any earlier fault still waiting on it).
   void attachFault(size_t Idx, size_t F, double At) {
     detachFault(Idx, At);
-    PendingFaultOf[Idx] = F;
+    Reqs[Idx].PendingFault = F;
     ++FaultLive[F];
   }
 
   /// Request \p Idx settled (finished, lost, or re-displaced): when it
   /// was the last one its fault displaced, that fault has recovered.
   void detachFault(size_t Idx, double At) {
-    size_t F = PendingFaultOf[Idx];
+    size_t F = Reqs[Idx].PendingFault;
     if (F == NoFault)
       return;
-    PendingFaultOf[Idx] = NoFault;
+    Reqs[Idx].PendingFault = NoFault;
     assert(FaultLive[F] > 0 && "fault live-count underflow");
     if (--FaultLive[F] == 0)
       Out.Faults[F].RecoveryTime = At - Out.Faults[F].DownTime;
+  }
+
+  /// The one settle path of finished, retired and lost requests:
+  /// request \p Idx leaves the replay at \p At, releases any fault
+  /// waiting on it, and a closed-loop tenant's think clock starts.
+  void settle(size_t Idx, double At) {
+    Reqs[Idx].Settled = true;
+    detachFault(Idx, At);
+    ++Completed;
+    Source.complete(Idx, At);
   }
 
   /// Declares request \p Idx lost at \p At: it completes empty at the
@@ -560,51 +600,48 @@ private:
   /// but a closed-loop tenant's think clock still advances, so the
   /// script drains.
   void lose(size_t Idx, double At) {
-    FinishedFlag[Idx] = true;
     Out.LostRequests.push_back(Idx);
-    if (PendingFaultOf[Idx] != NoFault)
-      ++Out.Faults[PendingFaultOf[Idx]].Lost;
+    if (Reqs[Idx].PendingFault != NoFault)
+      ++Out.Faults[Reqs[Idx].PendingFault].Lost;
     RS.completeZeroWork(Idx, At);
-    detachFault(Idx, At);
-    ++Completed;
-    Source.complete(Idx, At);
+    settle(Idx, At);
   }
 
   /// Retires a zero-work request at the admission boundary. The SLO
-  /// controller does NOT observe it (it never occupied the device); the
-  /// tenant's think clock still starts here.
+  /// controller does NOT observe it (it never occupied the device).
   void retire(size_t Idx, double T) {
-    Policy.completeOn(DeviceOf[Idx], Accounted[Idx], true);
-    Accounted[Idx] = 0;
-    FinishedFlag[Idx] = true;
-    detachFault(Idx, T);
-    ++Completed;
-    Source.complete(Idx, T);
+    RS.completeZeroWork(Idx, T);
+    RequestRecord &Rec = Reqs[Idx];
+    Policy.completeOn(Rec.Device, Rec.Accounted, true);
+    Rec.Accounted = 0;
+    settle(Idx, T);
   }
 
-  /// Common full-completion bookkeeping: the SLO controller observes
-  /// the aggregate queueing time, and a closed-loop tenant's think
-  /// clock starts from this completion.
-  void finish(size_t Idx, double At) {
-    ++Completed;
+  /// Full completion at the end of the last slice: the SLO controller
+  /// observes the aggregate queueing time.
+  void finish(size_t Idx) {
+    const LiveRequest &LR = RS.Live[Idx];
+    StreamRequestResult &RR = Out.Stream.Requests[Idx];
+    RR.StartTime = LR.Start;
+    RR.EndTime = LR.End;
     if (Opts.SoloEstimate == SoloEstimateKind::StaticPrior) {
       // The measured service span (first slice start to last slice
       // end) is the online observation the analysis prior blends into.
       // It over-reads under contention, which is the safe direction: a
       // busy device looks slower, never faster.
-      const StreamRequestResult &RR = Out.Stream.Requests[Idx];
       SoloObservation &O =
-          Observed[{DeviceOf[Idx], RS.Trace[Idx].KernelIdx}];
+          Observed[{Reqs[Idx].Device, RS.Trace[Idx].KernelIdx}];
       O.Sum += RR.EndTime - RR.StartTime;
       ++O.Count;
     }
-    detachFault(Idx, At);
     if (Ctl)
-      Ctl->observe(RS.Trace[Idx].Tenant,
-                   Out.Stream.Requests[Idx].queueingExcess());
-    Source.complete(Idx, At);
+      Ctl->observe(RS.Trace[Idx].Tenant, RR.queueingExcess());
+    settle(Idx, LR.End);
   }
 
+  ReplayState RS;
+  ArrivalSource &Source;
+  size_t Completed = 0;
   std::span<const ReplayDevice> Members;
   cluster::PlacementPolicy &Policy;
   const ClusterOptions &Opts;
@@ -612,15 +649,7 @@ private:
   std::vector<DeviceState> Devices;
   std::optional<accelos::SloWeightController> Ctl;
   std::map<int, size_t> Affinity; ///< Tenant -> device (sticky mode).
-  // Per-request bookkeeping, parallel to RS.Trace. DeviceOf is the
-  // fleet size while a request is unbound (parked or lost-unplaced).
-  std::vector<size_t> DeviceOf;
-  std::vector<size_t> PrevDeviceOf; ///< Last binding before unbound.
-  std::vector<double> Accounted; ///< Remaining cost counted per request.
-  std::vector<char> FinishedFlag;
-  std::vector<size_t> CountedWGs;  ///< Cursor already in ExecutedWGs.
-  std::vector<uint32_t> MigrationsOf; ///< Voluntary-migration budget.
-  std::vector<size_t> PendingFaultOf; ///< Fault awaiting this request.
+  std::vector<RequestRecord> Reqs; ///< Parallel to RS.Trace.
   std::vector<size_t> Parked; ///< Unplaceable until a device comes up.
   std::vector<FleetEvent> Plan; ///< Time-sorted (stable) fault plan.
   size_t PlanCursor = 0;
@@ -634,43 +663,6 @@ private:
   };
   std::map<std::pair<size_t, size_t>, SoloObservation> Observed;
 };
-
-/// Drives the merged clock over \p Members until every request of
-/// \p Source has finished or been lost.
-template <accelos::AdmissionScheduler SchedulerT>
-void replay(std::span<const ReplayDevice> Members,
-            cluster::PlacementPolicy &Policy, ArrivalSource &Source,
-            const ClusterOptions &Opts, ClusterOutcome &Out) {
-  ClusterReplay<SchedulerT> CR(Members, Policy, Source, Opts, Out);
-  const size_t Total = Source.total();
-  double Now = 0;
-
-  while (CR.Completed != Total) {
-    double T = Now;
-    CR.applyPlan(T);
-    while (!Source.empty() && Source.nextTime() <= T)
-      CR.arrive(T);
-    if (CR.Completed == Total)
-      break; // The last arrivals were all lost at this instant.
-
-    CR.admitAll(T);
-
-    double NextEvent = CR.nextFleetEvent();
-    double NextInput = Source.empty() ? -1 : Source.nextTime();
-    double NextPlan = CR.nextPlanTime();
-    double Target = NextEvent;
-    if (Target < 0 || (NextInput >= 0 && NextInput < Target))
-      Target = NextInput;
-    if (Target < 0 || (NextPlan >= 0 && NextPlan < Target))
-      Target = NextPlan;
-    assert(Target >= 0 && "replay stalled with unfinished requests");
-    CR.advanceAll(T, Target);
-    Now = std::max(Target, T);
-  }
-
-  assert(CR.RS.Trace.size() == Total && "workload not fully replayed");
-  CR.finalize();
-}
 
 } // namespace
 
@@ -689,10 +681,7 @@ ClusterOutcome harness::runClusterReplay(std::span<const ReplayDevice> Devices,
       Out.Devices[D].Name = Devices[D].Driver->device().Name;
     return Out;
   }
-  if (Opts.Stream.Admission == StreamOptions::AdmissionMode::Stride)
-    replay<accelos::StrideScheduler>(Devices, Policy, Source, Opts, Out);
-  else
-    replay<accelos::ContinuousScheduler>(Devices, Policy, Source, Opts, Out);
+  ClusterReplay(Devices, Policy, Source, Opts, Out).run();
   return Out;
 }
 

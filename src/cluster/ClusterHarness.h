@@ -8,11 +8,13 @@
 /// The cluster serving loop: one request stream scheduled across a
 /// cluster::Fleet of heterogeneous simulated devices on a single merged
 /// event clock. Every device runs its own arrival-aware continuous
-/// scheduler (sim::EngineSession + an accelos::AdmissionScheduler:
-/// ContinuousScheduler, or StrideScheduler when StreamOptions::Admission
-/// is Stride); the cluster layer adds the placement decision — which
-/// device a request runs on (cluster::PlacementPolicy) — and keeps
-/// fairness cluster-wide:
+/// scheduler: a sim::EngineSession plus an accelos::AdmissionScheduler,
+/// the base class of ContinuousScheduler and (when
+/// StreamOptions::Admission is Stride) StrideScheduler. The core is one
+/// plain class, compiled once, that holds each device's scheduler
+/// through that base. The cluster layer adds the placement decision —
+/// which device a request runs on (cluster::PlacementPolicy) — and
+/// keeps fairness cluster-wide:
 ///
 ///  - per-tenant sharing weights apply on every device a tenant's
 ///    requests land on;
@@ -29,7 +31,9 @@
 /// This is the only accelOS continuous loop in the library: the
 /// single-device entry points (the Continuous and Stride modes of
 /// harness::runStream and runClosedLoop) run it on a one-device view,
-/// pinned by tests/golden/single_device.golden.
+/// pinned by tests/golden/single_device.golden; fleet replays are
+/// pinned by tests/golden/cluster_fault_free.golden and, through every
+/// failure path, tests/golden/cluster_faults.golden.
 ///
 /// One entry point serves both workload shapes: runClusterReplay takes
 /// a ClusterWorkload (an open-loop timed trace OR a closed-loop

@@ -11,9 +11,10 @@
 /// simulated devices — any mix of sim::DeviceSpec::nvidiaK20m(),
 /// amdR9295X2(), or custom specs — each carrying its own compiled
 /// workload view (harness::ExperimentDriver), and each served by its
-/// own sim::EngineSession + accelos::ContinuousScheduler when the
-/// cluster replay (harness::runClusterReplay) drives them on one merged
-/// event clock.
+/// own sim::EngineSession + accelos::AdmissionScheduler
+/// (ContinuousScheduler, or StrideScheduler under stride admission)
+/// when the cluster replay (harness::runClusterReplay) drives them on
+/// one merged event clock.
 ///
 /// Placement is the new scheduling decision this layer introduces:
 /// which device a request runs on. It is pluggable

@@ -10,12 +10,15 @@
 /// runClosedLoop, and through runStream the paper's batch experiments)
 /// and the continuous replay core (harness::runClusterReplay, which
 /// also serves the single-device accelOS continuous and stride modes):
-/// the arrival source every loop pops its workload from, per-request
-/// slice progress, and the demand/slice-launch bookkeeping handed to
-/// the schedulers. Slice launches themselves come from
+/// the arrival source every loop pops its workload from, one progress
+/// record per request, and the queue-entry/slice-launch builders handed
+/// to the schedulers. Slice launches themselves come from
 /// accelos::sliceLaunch, the builder the functional Runtime uses too.
-/// Internal to the library — everything lives in harness::detail and
-/// the types leak no ABI promises.
+/// Plain classes only: the continuous core drives its schedulers
+/// through the accelos::AdmissionScheduler base, so nothing here is
+/// instantiated per scheduler type. Internal to the library —
+/// everything lives in harness::detail and the types leak no ABI
+/// promises.
 ///
 /// Every materialized request carries its *own* ExperimentDriver (the
 /// compiled view of the device it was placed on), so demands, slice
@@ -35,7 +38,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <optional>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -48,7 +50,12 @@ namespace detail {
 /// requests may execute across several grants (work slicing), so the
 /// first-dispatch and last-completion times accumulate here.
 struct LiveRequest {
+  /// The compiled view of the device serving the request; it must
+  /// outlive the replay.
+  ExperimentDriver *Driver = nullptr;
   size_t Cursor = 0; ///< Next unexecuted virtual group.
+  /// Cost of the groups from Cursor on, in thread-cycles.
+  double RemainingCost = 0;
   bool Started = false;
   double Start = 0;
   double End = 0;
@@ -56,8 +63,8 @@ struct LiveRequest {
 
 /// The request-level machinery shared by every replay loop: the
 /// materialized request list, per-request slice progress, and the
-/// demand/launch builders handed to the schedulers. Trace grows as the
-/// ArrivalSource materializes requests; every accessor indexes it
+/// queue-entry/launch builders handed to the schedulers. Trace grows as
+/// the ArrivalSource materializes requests; every accessor indexes it
 /// afresh.
 class ReplayState {
 public:
@@ -68,9 +75,9 @@ public:
   std::vector<workloads::TimedRequest> Trace;
   std::vector<LiveRequest> Live;
 
-  /// Scratch buffers for the steady-state serving loops: admissionPass
-  /// refills LaunchBuf and hands it to EngineSession::admitFrom, and
-  /// the replay loops read completions through advanceTo(T,
+  /// Scratch buffers for the steady-state serving loops: each admission
+  /// pass refills LaunchBuf and hands it to EngineSession::admitFrom,
+  /// and the replay loops read completions through advanceTo(T,
   /// CompletionBuf) — one allocation per high-water mark instead of
   /// one per event.
   std::vector<sim::KernelLaunchDesc> LaunchBuf;
@@ -94,12 +101,10 @@ public:
   size_t append(const workloads::TimedRequest &R, ExperimentDriver &D) {
     size_t Idx = Trace.size();
     Trace.push_back(R);
-    Live.emplace_back();
-    Drivers.push_back(&D);
-    double Cost = 0;
+    LiveRequest &LR = Live.emplace_back();
+    LR.Driver = &D;
     for (double C : D.kernel(R.KernelIdx).WGCosts)
-      Cost += C;
-    RemainingCostOf.push_back(Cost);
+      LR.RemainingCost += C;
     StreamRequestResult Res;
     Res.RequestIdx = Idx;
     Res.Tenant = R.Tenant;
@@ -112,7 +117,7 @@ public:
   }
 
   /// The driver (device view) serving request \p Idx.
-  ExperimentDriver &driverOf(size_t Idx) const { return *Drivers[Idx]; }
+  ExperimentDriver &driverOf(size_t Idx) const { return *Live[Idx].Driver; }
 
   /// The Sec. 3 demand of request \p Idx, narrowed to what is left of
   /// its virtual range (a sliced request re-enters the queue asking
@@ -127,6 +132,17 @@ public:
     return Demand;
   }
 
+  /// The scheduler queue entry of request \p Idx — its current
+  /// remaining demand and tenant weight — for an arrival or a slice
+  /// requeue.
+  accelos::RoundRequest roundRequest(size_t Idx) const {
+    accelos::RoundRequest R;
+    R.Id = Idx;
+    R.Tenant = Trace[Idx].Tenant;
+    R.Demand = demandOf(Idx);
+    return R;
+  }
+
   size_t remainingGroups(size_t Idx) const {
     return driverOf(Idx).kernel(Trace[Idx].KernelIdx).WGCosts.size() -
            Live[Idx].Cursor;
@@ -137,7 +153,7 @@ public:
   /// Maintained incrementally (full cost at append, each slice's cost
   /// subtracted when the slice launch is built), so reading it per
   /// completion event is O(1) instead of rescanning the range.
-  double remainingCost(size_t Idx) const { return RemainingCostOf[Idx]; }
+  double remainingCost(size_t Idx) const { return Live[Idx].RemainingCost; }
 
   /// Builds one quantum-bounded WorkQueue launch for the granted share
   /// \p GrantWGs of request \p Idx (accelos::sliceLaunch over the
@@ -155,7 +171,7 @@ public:
         D.demandFor(KernelIdx), CK.Spec->IssueEfficiency, CK.InstCount,
         CK.WGCosts, Live[Idx].Cursor, GrantWGs, Mode, Opts.RoundQuantum);
     for (uint64_t G = L.ViewBegin; G != L.ViewEnd; ++G)
-      RemainingCostOf[Idx] -= CK.WGCosts[G];
+      Live[Idx].RemainingCost -= CK.WGCosts[G];
     L.Name = CK.Spec->Id;
     L.AppId = static_cast<int>(Idx);
     L.ArrivalTime = Arrival;
@@ -174,7 +190,7 @@ public:
     LiveRequest &LR = Live[Idx];
     assert(Begin <= LR.Cursor && "rollback past the slice start");
     for (size_t G = Begin; G != LR.Cursor; ++G)
-      RemainingCostOf[Idx] += CK.WGCosts[G];
+      LR.RemainingCost += CK.WGCosts[G];
     LR.Cursor = Begin;
   }
 
@@ -192,11 +208,12 @@ public:
     assert(CK.WGCosts.size() ==
                driverOf(Idx).kernel(Req.KernelIdx).WGCosts.size() &&
            "virtual-range shape differs across devices");
-    Drivers[Idx] = &D;
+    LiveRequest &LR = Live[Idx];
+    LR.Driver = &D;
     double Cost = 0;
-    for (size_t G = Live[Idx].Cursor; G != CK.WGCosts.size(); ++G)
+    for (size_t G = LR.Cursor; G != CK.WGCosts.size(); ++G)
       Cost += CK.WGCosts[G];
-    RemainingCostOf[Idx] = Cost;
+    LR.RemainingCost = Cost;
     Out.Requests[Idx].AloneDuration =
         D.isolatedDuration(SchedulerKind::Baseline, Req.KernelIdx);
   }
@@ -238,54 +255,7 @@ private:
   accelos::SchedulingMode Mode;
   StreamOutcome &Out;
   const accelos::SloWeightController *Ctl = nullptr;
-  std::vector<ExperimentDriver *> Drivers; ///< Parallel to Trace.
-  std::vector<double> RemainingCostOf;     ///< Parallel to Trace.
 };
-
-/// Queues request \p Idx — with its current remaining demand and
-/// tenant weight — on \p Sched (an arrival or slice-requeue event).
-template <accelos::AdmissionScheduler SchedulerT>
-inline void submitRequest(SchedulerT &Sched, const ReplayState &RS,
-                          size_t Idx) {
-  accelos::RoundRequest R;
-  R.Id = Idx;
-  R.Tenant = RS.Trace[Idx].Tenant;
-  R.Demand = RS.demandOf(Idx);
-  Sched.submit(R);
-}
-
-/// One continuous-admission pass at time \p T on one device of the
-/// cluster replay core: grant whatever fits the residual capacity,
-/// turning each grant into a quantum-bounded slice launch. Requests
-/// with no remaining work complete at the boundary without occupying
-/// the device — \p RetireZeroWork is called to do the caller's
-/// completion bookkeeping (ReplayState::completeZeroWork has already
-/// recorded the timing). \returns true when the pass itself freed
-/// capacity (a tail slice shrinking its reservation) and must re-run
-/// at this same instant; each re-pass needs a fresh shrink, so the
-/// caller's loop terminates.
-///
-/// The pass structure itself (grant -> slice -> shrink -> admitFrom)
-/// lives in accelos::runAdmissionPass, shared with the functional
-/// Runtime's continuous pump; this wrapper binds it to ReplayState's
-/// request bookkeeping.
-template <accelos::AdmissionScheduler SchedulerT, typename RetireFn>
-inline bool admissionPass(SchedulerT &Sched, sim::EngineSession &Session,
-                          ReplayState &RS, double T,
-                          RetireFn &&RetireZeroWork) {
-  return accelos::runAdmissionPass(
-      Sched, Session, RS.LaunchBuf,
-      [&](uint64_t Id,
-          uint64_t WGs) -> std::optional<sim::KernelLaunchDesc> {
-        size_t Idx = static_cast<size_t>(Id);
-        if (RS.remainingGroups(Idx) == 0) {
-          RS.completeZeroWork(Idx, T);
-          return std::nullopt;
-        }
-        return RS.makeSliceLaunch(Idx, WGs, T);
-      },
-      [&](uint64_t Id) { RetireZeroWork(static_cast<size_t>(Id)); });
-}
 
 inline accelos::SchedulingMode modeFor(SchedulerKind Kind) {
   return Kind == SchedulerKind::AccelOSNaive

@@ -132,10 +132,7 @@ void replayRounds(ExperimentDriver &Driver, SchedulerKind Kind,
       EkPending.push_back(Idx);
       return;
     }
-    accelos::RoundRequest R;
-    R.Id = Idx;
-    R.Demand = RS.demandOf(Idx);
-    Sched.submit(R);
+    Sched.submit(RS.roundRequest(Idx));
   };
   auto Retire = [&](size_t Idx) {
     const LiveRequest &LR = RS.Live[Idx];

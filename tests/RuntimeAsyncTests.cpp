@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -118,7 +119,8 @@ struct RefRequest {
 /// -> admission passes to fixpoint -> advance to the next event ->
 /// complete/requeue), built from the same shared pieces the Runtime
 /// pump uses: ContinuousScheduler, EngineSession, runAdmissionPass and
-/// quantumSliceEnd.
+/// quantumSliceEnd. Every grant here carries work, so the slice
+/// callback never returns std::nullopt.
 std::vector<GrantRecord> runReferenceContinuous(
     const sim::DeviceSpec &Spec, std::vector<RefRequest> &Reqs,
     const std::vector<std::pair<double, uint64_t>> &Arrivals,
@@ -172,8 +174,7 @@ std::vector<GrantRecord> runReferenceContinuous(
                                      SliceLen, L.PhysicalWGs);
             R.Cursor = End;
             return L;
-          },
-          [&](uint64_t) {});
+          });
     if (Next == Arrivals.size()) {
       if (!Session.advanceNextEvent(Comp))
         break;
@@ -503,6 +504,53 @@ TEST(RuntimeAsyncTest, NonFiniteArrivalTimesAreRejected) {
   ASSERT_EQ(Done.size(), 1u);
   EXPECT_EQ(Done[0].AppId, 1);
   EXPECT_LT(Done[0].StartTime, Done[0].EndTime);
+}
+
+TEST(RuntimeAsyncTest, NonPositiveOrNonFiniteWeightsAreRejected) {
+  // Three equal tenants arriving together on a K20m, application 1
+  // optionally re-weighted first; run() returns the grant history.
+  constexpr int N = 64 * 512;
+  auto run = [&](const std::function<void(Runtime &)> &Weigh) {
+    auto Dev = ocl::Platform::createNvidiaK20m();
+    RuntimeOptions ROpts;
+    ROpts.RecordGrantHistory = true;
+    Runtime RT(*Dev, SchedulingMode::Optimized, ROpts);
+    Weigh(RT);
+    std::vector<TestApp> Apps;
+    for (int AppId = 1; AppId != 4; ++AppId)
+      Apps.push_back(makeApp(RT, AppId, N));
+    for (TestApp &A : Apps)
+      cantFail(A.Proxy->submitNDRange(*A.K, range1D(N, 64)));
+    EXPECT_EQ(cantFail(RT.drain()).size(), 3u);
+    return RT.grantHistory();
+  };
+
+  std::vector<GrantRecord> Equal = run([](Runtime &) {});
+  // A negative weight would hand application 1 the largest share, a
+  // zero one a single work group, and a NaN would poison the solve:
+  // each is refused and leaves no trace.
+  std::vector<GrantRecord> Refused = run([](Runtime &RT) {
+    for (double W : {-1.0, 0.0, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+      Error E = RT.setAppWeight(1, W);
+      ASSERT_TRUE(static_cast<bool>(E)) << "weight " << W;
+      EXPECT_NE(E.message().find("not positive and finite"),
+                std::string::npos);
+    }
+  });
+  ASSERT_EQ(Refused.size(), Equal.size());
+  for (size_t I = 0; I != Equal.size(); ++I) {
+    EXPECT_EQ(Refused[I].Id, Equal[I].Id) << "grant " << I;
+    EXPECT_EQ(Refused[I].WGs, Equal[I].WGs) << "grant " << I;
+  }
+
+  // A positive finite weight is accepted and acts: the heavier
+  // application's first grant outgrows both of the others'.
+  std::vector<GrantRecord> Weighted = run(
+      [](Runtime &RT) { cantFail(RT.setAppWeight(1, 3.0)); });
+  ASSERT_GE(Weighted.size(), 3u);
+  EXPECT_EQ(Weighted[0].Id, 0u);
+  EXPECT_GT(Weighted[0].WGs, Weighted[1].WGs);
+  EXPECT_GT(Weighted[0].WGs, Weighted[2].WGs);
 }
 
 } // namespace
